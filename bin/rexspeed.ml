@@ -1250,7 +1250,7 @@ let serve_cmd =
           ("--io-timeout-ms", io_timeout_ms);
           ("--max-queue", max_queue);
           ("--verify-sample", verify_sample);
-          ("--domains", Parallel.Pool.default_domain_count ());
+          ("--domains", Parallel.Pool.(domains (default ())));
         ]
         |> List.concat_map (fun (flag, v) -> [ flag; string_of_int v ])
       in

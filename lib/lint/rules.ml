@@ -31,14 +31,12 @@ let allowlisted (rule : Diagnostic.rule) file =
   | Diagnostic.RX004 -> has_suffix ~suffix:"lib/server/metrics.ml" file
   | Diagnostic.RX010 -> has_suffix ~suffix:"trace/clock.ml" file
   | Diagnostic.RX011 ->
-      (* daemon.ml and router.ml are the audited I/O layers: every fd
-         is non-blocking and every wait is bounded (--io-timeout-ms in
-         the daemon, the router's write give-up and probe timeouts);
-         the test clients and the bench talk to a daemon they also
-         control, so a stuck read fails the run rather than hanging a
-         service. *)
-      has_suffix ~suffix:"lib/server/daemon.ml" file
-      || has_suffix ~suffix:"lib/server/router.ml" file
+      (* conn.ml is the one audited I/O layer under the daemon and the
+         router: every fd is non-blocking, the only wait is the sweep's
+         select, and queued output has a give-up time; the test clients
+         and the bench talk to a daemon they also control, so a stuck
+         read fails the run rather than hanging a service. *)
+      has_suffix ~suffix:"lib/server/conn.ml" file
       || has_suffix ~suffix:"test/cli/serve_client.ml" file
       || has_suffix ~suffix:"test/test_server.ml" file
       || has_suffix ~suffix:"bench/main.ml" file
@@ -200,7 +198,7 @@ let check_ident add ~in_trace loc path =
       add Diagnostic.RX011 loc
         (Printf.sprintf
            "Unix.%s blocks forever on a slow or dead peer; route socket \
-            I/O through the daemon's non-blocking, timeout-bounded layer"
+            I/O through Server.Conn, the non-blocking, timeout-bounded layer"
            fn)
   | _ -> ()
 

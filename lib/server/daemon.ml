@@ -53,65 +53,9 @@ let fresh_hardening () =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Connections                                                         *)
-
-type conn = {
-  fd : Unix.file_descr;
-  pending : Buffer.t;  (* bytes read but not yet line-terminated *)
-  mutable eof : bool;  (* peer closed its writing end *)
-  mutable dead : bool;  (* drop after the current round's responses *)
-  mutable last_activity : float;  (* [Metrics.now_s] of the last read *)
-}
-
-type write_outcome = Wrote | Write_dead | Write_timed_out
-
-(* Blocking-ish write on a non-blocking fd: wait for writability when
-   the kernel buffer is full, give up (and drop the connection) after
-   a stuck [give_up_s] — a reader that slow is not coming back.
-   [torn] serves the bytes one at a time (chaos I/O), exercising every
-   partial-write path without changing what the peer reads. *)
-let write_all ~give_up_s ~torn conn s =
-  let bytes = Bytes.of_string s in
-  let len = Bytes.length bytes in
-  let off = ref 0 in
-  let timed_out = ref false in
-  let give_up_at = Metrics.now_s () +. give_up_s in
-  (try
-     while !off < len && not conn.dead do
-       let n = if torn then 1 else len - !off in
-       match Unix.write conn.fd bytes !off n with
-       | written -> off := !off + written
-       | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
-           if Metrics.now_s () > give_up_at then begin
-             conn.dead <- true;
-             timed_out := true
-           end
-           else
-             let wait =
-               Float.min 1. (Float.max 0.01 (give_up_at -. Metrics.now_s ()))
-             in
-             ignore (Unix.select [] [ conn.fd ] [] wait)
-       | exception Unix.Unix_error (EINTR, _, _) -> ()
-     done
-   with Unix.Unix_error ((EPIPE | ECONNRESET | EBADF), _, _) ->
-     conn.dead <- true);
-  if !timed_out then Write_timed_out else if conn.dead then Write_dead else Wrote
-
-(* ------------------------------------------------------------------ *)
 (* Responses                                                           *)
 
 let float_or_null v = if Float.is_finite v then Json.Float v else Json.Null
-
-let error_response ?(extra = []) ~id ~code message =
-  Json.Obj
-    [
-      ("id", id);
-      ("status", Json.String "error");
-      ( "error",
-        Json.Obj
-          ((("code", Json.String code) :: extra)
-          @ [ ("message", Json.String message) ]) );
-    ]
 
 let result_response ~id ~route ~fingerprint ~cached ~(rendering : Render.rendering) =
   Json.Obj
@@ -272,10 +216,42 @@ type job =
       cached : Render.rendering option;
     }
 
-let classify ~ordinal ~cache ~metrics ~hardening ~queue_depth ~max_queue
-    ~domains line =
+(* ------------------------------------------------------------------ *)
+(* Dispatcher state                                                    *)
+
+(* One admitted request line. The ordinal is assigned at admission by
+   the single dispatcher, so it doubles as the trace span id. *)
+type admission = {
+  conn : Conn.t;
+  line : string;
+  admitted_at : float;
+  ordinal : int;
+}
+
+type state = {
+  options : options;
+  pool : Parallel.Pool.t;
+  listeners : Conn.listener list;
+  cache : Render.rendering Lru.t;
+  metrics : Metrics.t;
+  hardening : hardening;
+  domains : int;
+  give_up_s : float;  (* --io-timeout-ms; [infinity] when 0 *)
+  deadline_s : float;
+  mutable conns : Conn.t list;
+  (* Complete request lines accepted but not yet dispatched. Bounded
+     by [max_queue]; persists across sweeps, so the drain must empty
+     it too. *)
+  queue : admission Queue.t;
+  mutable admitted : int;
+  mutable served : int;
+  mutable misses : int;  (* computed misses, for verify sampling *)
+}
+
+let classify st ~ordinal line =
   let started = Metrics.now_s () in
   let elapsed () = Metrics.now_s () -. started in
+  let queue_depth = Queue.length st.queue in
   match Json.decode line with
   | Error e ->
       Immediate
@@ -283,7 +259,7 @@ let classify ~ordinal ~cache ~metrics ~hardening ~queue_depth ~max_queue
           route = "invalid";
           ok = false;
           response =
-            error_response ~id:Json.Null ~code:"parse"
+            Protocol.error_response ~id:Json.Null ~code:"parse"
               ~extra:[ ("position", Json.Int e.position) ]
               e.message;
           latency_s = elapsed ();
@@ -296,7 +272,7 @@ let classify ~ordinal ~cache ~metrics ~hardening ~queue_depth ~max_queue
             {
               route = "invalid";
               ok = false;
-              response = error_response ~id ~code:"bad-request" reason;
+              response = Protocol.error_response ~id ~code:"bad-request" reason;
               latency_s = elapsed ();
             }
       | Ok Protocol.Health ->
@@ -305,8 +281,9 @@ let classify ~ordinal ~cache ~metrics ~hardening ~queue_depth ~max_queue
               route = "health";
               ok = true;
               response =
-                health_response ~id ~metrics ~hardening ~queue_depth ~max_queue
-                  ~domains;
+                health_response ~id ~metrics:st.metrics
+                  ~hardening:st.hardening ~queue_depth
+                  ~max_queue:st.options.max_queue ~domains:st.domains;
               latency_s = elapsed ();
             }
       | Ok Protocol.Stats ->
@@ -315,8 +292,8 @@ let classify ~ordinal ~cache ~metrics ~hardening ~queue_depth ~max_queue
               route = "stats";
               ok = true;
               response =
-                stats_response ~id ~metrics ~cache ~hardening ~queue_depth
-                  ~domains;
+                stats_response ~id ~metrics:st.metrics ~cache:st.cache
+                  ~hardening:st.hardening ~queue_depth ~domains:st.domains;
               latency_s = elapsed ();
             }
       | Ok request ->
@@ -326,7 +303,7 @@ let classify ~ordinal ~cache ~metrics ~hardening ~queue_depth ~max_queue
               let hit =
                 Tracing.Tracer.with_span ~id:ordinal
                   Tracing.Span.Cache_lookup (fun () ->
-                    Lru.find cache fingerprint)
+                    Lru.find st.cache fingerprint)
               in
               Tracing.Tracer.count
                 (match hit with
@@ -338,10 +315,340 @@ let classify ~ordinal ~cache ~metrics ~hardening ~queue_depth ~max_queue
           in
           Solve { id; request; fingerprint; cached })
 
-(* ------------------------------------------------------------------ *)
-(* Main loop                                                           *)
+let io_fires st kind ~ordinal =
+  match Resilience.Chaos.io_active () with
+  | None -> false
+  | Some io ->
+      let fire = Resilience.Chaos.io_fires io kind ~index:ordinal ~attempt:0 in
+      if fire then begin
+        st.hardening.chaos_io <- st.hardening.chaos_io + 1;
+        Tracing.Tracer.count Tracing.Span.Chaos_io_injections
+      end;
+      fire
 
-let run ?pool ?on_ready options =
+let log_line st =
+  let totals = Metrics.totals st.metrics in
+  let uptime = Metrics.uptime_s st.metrics in
+  Printf.eprintf
+    "rexspeed serve: %d request(s), %.1f req/s, cache hit rate %.1f%%, p99 \
+     %.1f ms\n\
+     %!"
+    totals.requests
+    (float_of_int totals.requests /. Float.max uptime 1e-9)
+    (100. *. Lru.hit_rate st.cache)
+    (1000. *. totals.latency_p99_s)
+
+(* ------------------------------------------------------------------ *)
+(* Answering                                                           *)
+
+(* Send one answer. Metrics record it when its last byte is written or
+   its connection dies: a response that never reached its client is a
+   failed request, whatever the solver said. *)
+let respond st conn ~ordinal job =
+  let route, ok, response, latency_s =
+    match job with
+    | Immediate { route; ok; response; latency_s } ->
+        (route, ok, response, latency_s)
+    | Solve { id; request; fingerprint; cached = Some rendering } ->
+        ( Protocol.route request,
+          true,
+          result_response ~id ~route:(Protocol.route request) ~fingerprint
+            ~cached:true ~rendering,
+          0. )
+    | Solve { cached = None; _ } -> invalid_arg "Daemon.respond: unsolved job"
+  in
+  (* Chaos: a deterministically chosen response is never written — the
+     connection drops instead, as if the network gave out. *)
+  if io_fires st Resilience.Chaos.Drop ~ordinal then Conn.close conn;
+  let record wrote =
+    Metrics.record st.metrics ~route ~ok:(ok && wrote) ~latency_s
+  in
+  let bytes = Json.encode response ^ "\n" in
+  if io_fires st Resilience.Chaos.Torn ~ordinal then begin
+    (* Chaos: serve the bytes one write at a time, exercising every
+       partial-write path without changing what the peer reads. *)
+    let last = String.length bytes - 1 in
+    String.iteri
+      (fun i c ->
+        Conn.send
+          ?on_done:(if i = last then Some record else None)
+          conn (String.make 1 c))
+      bytes
+  end
+  else Conn.send ~on_done:record conn bytes;
+  st.served <- st.served + 1;
+  Tracing.Tracer.complete ~id:ordinal ~label:route Tracing.Span.Daemon_request
+    ~since:(Tracing.Tracer.now_s () -. latency_s);
+  if st.options.log_every > 0 && st.served mod st.options.log_every = 0 then
+    log_line st
+
+(* Admission: assign the ordinal, stamp the arrival time, and either
+   enqueue or — when the bounded queue is full — shed with a structured
+   error carrying a retry hint. Shedding answers immediately, out of
+   request order; the id lets pipelined clients correlate. *)
+let admit st ~shedding conn line =
+  let ordinal = st.admitted in
+  st.admitted <- st.admitted + 1;
+  let depth = Queue.length st.queue in
+  if shedding && st.options.max_queue > 0 && depth >= st.options.max_queue
+  then begin
+    st.hardening.shed <- st.hardening.shed + 1;
+    Tracing.Tracer.count Tracing.Span.Sheds;
+    let retry_after_ms =
+      50 * (1 + (depth / Int.max 1 st.options.max_inflight))
+    in
+    let response =
+      Protocol.error_response ~id:(request_id line) ~code:"shed"
+        ~extra:[ ("retry_after_ms", Json.Int retry_after_ms) ]
+        (Printf.sprintf "admission queue full (%d queued)" depth)
+    in
+    if not (Conn.dead conn) then
+      respond st conn ~ordinal
+        (Immediate { route = "shed"; ok = false; response; latency_s = 0. })
+  end
+  else
+    Queue.push { conn; line; admitted_at = Metrics.now_s (); ordinal } st.queue
+
+(* Sampled dual execution: every [verify_sample]-th computed miss is
+   re-executed and its response fingerprint compared before the
+   response is committed. A mismatch is a detected silent error: count
+   it, trace it, and let one authoritative re-execution decide. *)
+let verified st ~ordinal ~request outcome =
+  match outcome with
+  | Error _ -> outcome
+  | Ok rendering ->
+      let sampled =
+        st.options.verify_sample > 0
+        && st.misses mod st.options.verify_sample = 0
+      in
+      st.misses <- st.misses + 1;
+      if not sampled then outcome
+      else begin
+        st.hardening.verify_checks <- st.hardening.verify_checks + 1;
+        Tracing.Tracer.count Tracing.Span.Verify_checks;
+        Tracing.Tracer.with_span ~id:ordinal ~label:"verify"
+          Tracing.Span.Daemon_verify
+        @@ fun () ->
+        let confirmed =
+          match fst (compute request) with
+          | Ok second ->
+              String.equal
+                (response_fingerprint rendering)
+                (response_fingerprint second)
+          | Error _ -> false
+        in
+        if confirmed then outcome
+        else begin
+          st.hardening.verify_divergences <-
+            st.hardening.verify_divergences + 1;
+          Tracing.Tracer.count Tracing.Span.Verify_divergences;
+          Tracing.Tracer.with_span ~id:ordinal ~label:"reexec"
+            Tracing.Span.Daemon_verify (fun () -> fst (compute request))
+        end
+      end
+
+(* Chaos: corrupt a computed response before verification, so the soak
+   can prove divergences are caught, never shipped. *)
+let maybe_corrupt st ~ordinal outcome =
+  match outcome with
+  | Error _ -> outcome
+  | Ok (rendering : Render.rendering) -> (
+      match Resilience.Chaos.io_active () with
+      | Some io
+        when io.corrupt_p > 0. && io_fires st Resilience.Chaos.Corrupt ~ordinal
+        ->
+          Ok
+            {
+              rendering with
+              Render.output =
+                Resilience.Chaos.corrupt_string io ~index:ordinal
+                  rendering.Render.output;
+            }
+      | Some _ | None -> outcome)
+
+let past_deadline st age = st.options.deadline_ms > 0 && age > st.deadline_s
+
+let deadline_error st ~id ~age phase =
+  st.hardening.deadline_exceeded <- st.hardening.deadline_exceeded + 1;
+  Tracing.Tracer.count Tracing.Span.Deadline_timeouts;
+  Protocol.error_response ~id ~code:"deadline_exceeded"
+    ~extra:
+      [
+        ("elapsed_ms", Json.Int (int_of_float (1000. *. age)));
+        ("deadline_ms", Json.Int st.options.deadline_ms);
+      ]
+    ("request exceeded its deadline while " ^ phase)
+
+(* Verify, cache and package one computed miss. Committed results only:
+   a divergent primary never reaches the cache or the wire. *)
+let commit st a ~id ~request ~fingerprint (outcome, latency_s) =
+  let outcome =
+    verified st ~ordinal:a.ordinal ~request
+      (maybe_corrupt st ~ordinal:a.ordinal outcome)
+  in
+  let route = Protocol.route request in
+  let response, ok =
+    match outcome with
+    | Ok rendering ->
+        if Protocol.cacheable request then
+          Lru.add st.cache fingerprint rendering;
+        let age = Metrics.now_s () -. a.admitted_at in
+        if past_deadline st age then
+          (deadline_error st ~id ~age "computing", false)
+        else
+          ( result_response ~id ~route ~fingerprint ~cached:false ~rendering,
+            true )
+    | Error message ->
+        (Protocol.error_response ~id ~code:"internal" message, false)
+  in
+  Immediate { route; ok; response; latency_s }
+
+(* Resolve up to [max_inflight] queued requests: expire the ones already
+   past their deadline, classify the rest on the dispatcher (cache
+   lookups included), fan the misses out over the pool, answer in
+   order. *)
+let process st =
+  let rec take n acc =
+    if n = 0 || Queue.is_empty st.queue then List.rev acc
+    else take (n - 1) (Queue.pop st.queue :: acc)
+  in
+  let classified =
+    List.map
+      (fun a ->
+        let age = Metrics.now_s () -. a.admitted_at in
+        if past_deadline st age then
+          ( a,
+            Immediate
+              {
+                route = "deadline";
+                ok = false;
+                response =
+                  deadline_error st ~id:(request_id a.line) ~age "queued";
+                latency_s = age;
+              } )
+        else (a, classify st ~ordinal:a.ordinal a.line))
+      (take st.options.max_inflight [])
+  in
+  let misses =
+    List.filter_map
+      (function
+        | _, Solve { request; cached = None; _ } -> Some request
+        | _, (Immediate _ | Solve _) -> None)
+      classified
+  in
+  (* A singleton miss keeps the dispatcher as the caller so the
+     solver's own pool region still parallelizes; real batches trade
+     that for inter-request parallelism. *)
+  let solved =
+    ref
+      (match misses with
+      | [] -> []
+      | [ request ] -> [ compute request ]
+      | _ -> Parallel.Pool.map_list st.pool compute misses)
+  in
+  List.iter
+    (fun (a, job) ->
+      let job =
+        match job with
+        | Immediate _ | Solve { cached = Some _; _ } -> job
+        | Solve { id; request; fingerprint; cached = None } ->
+            let x =
+              match !solved with
+              | x :: rest ->
+                  solved := rest;
+                  x
+              | [] -> (Error "dispatch underflow", 0.)
+            in
+            commit st a ~id ~request ~fingerprint x
+      in
+      if not (Conn.dead a.conn) then respond st a.conn ~ordinal:a.ordinal job)
+    classified
+
+(* ------------------------------------------------------------------ *)
+(* Sweeps                                                              *)
+
+(* Frame what every live connection has sent: admit complete lines,
+   answer overlong ones at once. *)
+let enqueue_ready st ~shedding =
+  List.iter
+    (fun conn ->
+      if not (Conn.dead conn) then
+        List.iter
+          (function
+            | Conn.Line line -> admit st ~shedding conn line
+            | Conn.Too_large ->
+                let max_bytes = st.options.max_request_bytes in
+                Conn.send conn
+                  (Json.encode (Protocol.too_large ~max_bytes) ^ "\n");
+                Metrics.record st.metrics ~route:"invalid" ~ok:false
+                  ~latency_s:0.)
+          (Conn.lines ~max_bytes:st.options.max_request_bytes conn))
+    st.conns
+
+(* One [Conn.poll]: a connection dropped for its give-up time is an I/O
+   timeout. *)
+let poll st ?listeners ~timeout () =
+  let events =
+    Conn.poll ?listeners st.conns ~give_up_s:st.give_up_s ~timeout
+  in
+  List.iter
+    (fun _ ->
+      st.hardening.io_timeouts <- st.hardening.io_timeouts + 1;
+      Tracing.Tracer.count Tracing.Span.Io_timeouts)
+    events.timed_out;
+  st.conns <- st.conns @ events.accepted
+
+let sweep st =
+  (* A backlog means there is work regardless of the sockets: poll
+     instead of sleeping. *)
+  poll st ~listeners:st.listeners
+    ~timeout:(if Queue.is_empty st.queue then 0.2 else 0.)
+    ();
+  enqueue_ready st ~shedding:true;
+  (* One dispatch batch per sweep: the queue persists across sweeps,
+     which is what makes [max_queue] a real bound and keeps accepts
+     responsive under a backlog. *)
+  process st;
+  (* Close a connection at EOF only once its answers are out: the queue
+     may still hold admitted requests from a peer that half-closed. *)
+  let owed conn =
+    Seq.exists (fun a -> a.conn == conn) (Queue.to_seq st.queue)
+  in
+  let gone, live =
+    List.partition
+      (fun c -> Conn.dead c || (Conn.drained c && not (owed c)))
+      st.conns
+  in
+  List.iter Conn.close gone;
+  st.conns <- live
+
+(* Drain: stop accepting, then answer everything already admitted —
+   queued-but-unstarted requests included — plus any fully-received
+   request still in a socket buffer, and write it all out. Shedding is
+   off: a request the client already sent gets an answer, not a retry
+   hint. A client is read again only once its answers are out, so the
+   drain ends after a round that began with nothing to write and
+   admitted nothing. *)
+let drain st =
+  List.iter Conn.close_listener st.listeners;
+  let rec loop () =
+    let writing = List.exists Conn.unwritten st.conns in
+    let before = st.admitted in
+    poll st ~timeout:(if writing then 0.2 else 0.) ();
+    enqueue_ready st ~shedding:false;
+    while not (Queue.is_empty st.queue) do
+      process st
+    done;
+    if writing || st.admitted > before || List.exists Conn.unwritten st.conns
+    then loop ()
+  in
+  if not (List.is_empty st.conns && Queue.is_empty st.queue) then
+    Tracing.Tracer.with_span ~id:0 ~label:"daemon.drain"
+      Tracing.Span.Daemon_request loop;
+  List.iter Conn.close st.conns;
+  st.conns <- []
+
+let validate options =
   if options.cache_entries < 0 then Error "--cache-entries must be >= 0"
   else if options.max_request_bytes < 2 then
     Error "--max-request-bytes must be at least 2"
@@ -351,541 +658,62 @@ let run ?pool ?on_ready options =
   else if options.io_timeout_ms < 0 then Error "--io-timeout-ms must be >= 0"
   else if options.max_queue < 0 then Error "--max-queue must be >= 0"
   else if options.verify_sample < 0 then Error "--verify-sample must be >= 0"
-  else
-    match
-      Listener.bind ~port:options.port ~socket_path:options.socket_path
-    with
-    | Error _ as e -> e
-    | Ok listeners ->
-        (* From here on the daemon owns the socket path: unlink it on
-           every exit, normal drain or escaping exception, so a crash
-           never leaves a stale file that blocks the next start. *)
-        Fun.protect
-          ~finally:(fun () ->
-            match options.socket_path with
-            | Some path -> (
-                try Unix.unlink path with Unix.Unix_error _ -> ())
-            | None -> ())
-        @@ fun () ->
-        Atomic.set stop_requested false;
-        let pool =
-          match pool with Some p -> p | None -> Parallel.Pool.default ()
-        in
-        let previous_sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
-        if options.handle_signals then begin
-          Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> stop ()));
-          Sys.set_signal Sys.sigint (Sys.Signal_handle (fun _ -> stop ()))
-        end;
-        let cache = Lru.create ~capacity:options.cache_entries in
-        let metrics = Metrics.create () in
-        let hardening = fresh_hardening () in
-        let domains = Parallel.Pool.domains pool in
-        let give_up_s =
-          if options.io_timeout_ms = 0 then infinity
-          else float_of_int options.io_timeout_ms /. 1000.
-        in
-        let deadline_s = float_of_int options.deadline_ms /. 1000. in
-        let chaos_io () = Resilience.Chaos.io_active () in
-        let io_fires kind ~ordinal =
-          match chaos_io () with
-          | None -> false
-          | Some io ->
-              let fire =
-                Resilience.Chaos.io_fires io kind ~index:ordinal ~attempt:0
-              in
-              if fire then begin
-                hardening.chaos_io <- hardening.chaos_io + 1;
-                Tracing.Tracer.count Tracing.Span.Chaos_io_injections
-              end;
-              fire
-        in
-        let conns = ref [] in
-        let served = ref 0 in
-        let log_line () =
-          let totals = Metrics.totals metrics in
-          let uptime = Metrics.uptime_s metrics in
-          Printf.eprintf
-            "rexspeed serve: %d request(s), %.1f req/s, cache hit rate \
-             %.1f%%, p99 %.1f ms\n\
-             %!"
-            totals.requests
-            (float_of_int totals.requests /. Float.max uptime 1e-9)
-            (100. *. Lru.hit_rate cache)
-            (1000. *. totals.latency_p99_s)
-        in
-        (* Deterministic request ordinal: assigned at admission by the
-           single dispatcher, so it doubles as the trace span id. *)
-        let admitted = ref 0 in
-        (* The admission queue: complete request lines accepted but not
-           yet dispatched. Bounded by [max_queue]; persists across
-           sweeps, so the drain path must empty it too. *)
-        let queue = ref [] in
-        let queue_depth = ref 0 in
-        let respond conn ~ordinal job =
-          let route, ok, response, latency_s =
-            match job with
-            | Immediate { route; ok; response; latency_s } ->
-                (route, ok, response, latency_s)
-            | Solve { id; request; fingerprint; cached = Some rendering } ->
-                ( Protocol.route request,
-                  true,
-                  result_response ~id
-                    ~route:(Protocol.route request)
-                    ~fingerprint ~cached:true ~rendering,
-                  0. )
-            | Solve { cached = None; _ } ->
-                invalid_arg "Daemon.respond: unsolved job"
-          in
-          (* Chaos: a deterministically chosen response is never
-             written — the connection drops instead, as if the network
-             gave out. The request still counts as failed. *)
-          if io_fires Resilience.Chaos.Drop ~ordinal then conn.dead <- true;
-          let torn = io_fires Resilience.Chaos.Torn ~ordinal in
-          (* Write before recording: a response that never reached its
-             client is a failed request, whatever the solver said. *)
-          let wrote =
-            match write_all ~give_up_s ~torn conn (Json.encode response ^ "\n") with
-            | Wrote -> true
-            | Write_dead -> false
-            | Write_timed_out ->
-                hardening.io_timeouts <- hardening.io_timeouts + 1;
-                Tracing.Tracer.count Tracing.Span.Io_timeouts;
-                false
-          in
-          Metrics.record metrics ~route ~ok:(ok && wrote) ~latency_s;
-          incr served;
-          Tracing.Tracer.complete ~id:ordinal ~label:route
-            Tracing.Span.Daemon_request
-            ~since:(Tracing.Tracer.now_s () -. latency_s);
-          if options.log_every > 0 && !served mod options.log_every = 0 then
-            log_line ()
-        in
-        (* Admission: assign the ordinal, stamp the arrival time, and
-           either enqueue or — when the bounded queue is full — shed
-           with a structured error carrying a retry hint. Shedding
-           answers immediately, out of request order; the id lets
-           pipelined clients correlate. *)
-        let admit ?(shedding = true) conn line =
-          let ordinal = !admitted in
-          incr admitted;
-          if shedding && options.max_queue > 0 && !queue_depth >= options.max_queue
-          then begin
-            hardening.shed <- hardening.shed + 1;
-            Tracing.Tracer.count Tracing.Span.Sheds;
-            let retry_after_ms =
-              50 * (1 + (!queue_depth / Int.max 1 options.max_inflight))
-            in
-            let response =
-              error_response ~id:(request_id line) ~code:"shed"
-                ~extra:[ ("retry_after_ms", Json.Int retry_after_ms) ]
-                (Printf.sprintf "admission queue full (%d queued)" !queue_depth)
-            in
-            if not conn.dead then
-              respond conn ~ordinal
-                (Immediate { route = "shed"; ok = false; response; latency_s = 0. })
-          end
-          else begin
-            queue := !queue @ [ (conn, line, Metrics.now_s (), ordinal) ];
-            incr queue_depth
-          end
-        in
-        (* Sampled dual execution: every [verify_sample]-th computed
-           miss is re-executed and its response fingerprint compared
-           before the response is committed. A mismatch is a detected
-           silent error: count it, trace it, and let one authoritative
-           re-execution decide. *)
-        let miss_count = ref 0 in
-        let verified ~ordinal ~request outcome =
-          match outcome with
-          | Error _ -> outcome
-          | Ok rendering ->
-              let sampled =
-                options.verify_sample > 0
-                && !miss_count mod options.verify_sample = 0
-              in
-              incr miss_count;
-              if not sampled then outcome
-              else begin
-                hardening.verify_checks <- hardening.verify_checks + 1;
-                Tracing.Tracer.count Tracing.Span.Verify_checks;
-                Tracing.Tracer.with_span ~id:ordinal ~label:"verify"
-                  Tracing.Span.Daemon_verify
-                @@ fun () ->
-                let confirmed =
-                  match fst (compute request) with
-                  | Ok second ->
-                      String.equal
-                        (response_fingerprint rendering)
-                        (response_fingerprint second)
-                  | Error _ -> false
-                in
-                if confirmed then outcome
-                else begin
-                  hardening.verify_divergences <-
-                    hardening.verify_divergences + 1;
-                  Tracing.Tracer.count Tracing.Span.Verify_divergences;
-                  Tracing.Tracer.with_span ~id:ordinal ~label:"reexec"
-                    Tracing.Span.Daemon_verify (fun () ->
-                      fst (compute request))
-                end
-              end
-        in
-        (* Chaos: corrupt a computed response before verification, so
-           the soak can prove divergences are caught, never shipped. *)
-        let maybe_corrupt ~ordinal outcome =
-          match outcome with
-          | Error _ -> outcome
-          | Ok (rendering : Render.rendering) -> (
-              match chaos_io () with
-              | Some io
-                when io.corrupt_p > 0.
-                     && io_fires Resilience.Chaos.Corrupt ~ordinal ->
-                  Ok
-                    {
-                      rendering with
-                      Render.output =
-                        Resilience.Chaos.corrupt_string io ~index:ordinal
-                          rendering.Render.output;
-                    }
-              | Some _ | None -> outcome)
-        in
-        (* Resolve up to [max_inflight] queued requests: expire the
-           ones already past their deadline, classify the rest on the
-           dispatcher (cache lookups included), fan the misses out
-           over the pool, answer in order. *)
-        let process q =
-          let batch, rest =
-            let rec split n = function
-              | [] -> ([], [])
-              | l when n = 0 -> ([], l)
-              | x :: tl ->
-                  let taken, left = split (n - 1) tl in
-                  (x :: taken, left)
-            in
-            split options.max_inflight q
-          in
-          queue_depth := List.length rest;
-          let expired ~admitted_at line =
-            let age = Metrics.now_s () -. admitted_at in
-            if options.deadline_ms > 0 && age > deadline_s then begin
-              hardening.deadline_exceeded <- hardening.deadline_exceeded + 1;
-              Tracing.Tracer.count Tracing.Span.Deadline_timeouts;
-              Some
-                (Immediate
-                   {
-                     route = "deadline";
-                     ok = false;
-                     response =
-                       error_response ~id:(request_id line)
-                         ~code:"deadline_exceeded"
-                         ~extra:
-                           [
-                             ("elapsed_ms", Json.Int (int_of_float (1000. *. age)));
-                             ("deadline_ms", Json.Int options.deadline_ms);
-                           ]
-                         "request exceeded its deadline while queued";
-                     latency_s = age;
-                   })
-            end
-            else None
-          in
-          let classified =
-            List.map
-              (fun (conn, line, admitted_at, ordinal) ->
-                let job =
-                  match expired ~admitted_at line with
-                  | Some job -> job
-                  | None ->
-                      classify ~ordinal ~cache ~metrics ~hardening
-                        ~queue_depth:!queue_depth ~max_queue:options.max_queue
-                        ~domains line
-                in
-                (conn, ordinal, admitted_at, job))
-              batch
-          in
-          let misses =
-            List.filter_map
-              (function
-                | _, _, _, Solve { request; cached = None; _ } -> Some request
-                | _, _, _, (Immediate _ | Solve _) -> None)
-              classified
-          in
-          (* A singleton miss keeps the dispatcher as the caller so
-             the solver's own pool region still parallelizes; real
-             batches trade that for inter-request parallelism. *)
-          let solved =
-            match misses with
-            | [] -> []
-            | [ request ] -> [ compute request ]
-            | _ -> Parallel.Pool.map_list pool compute misses
-          in
-          let remaining = ref solved in
-          List.iter
-            (fun (conn, ordinal, admitted_at, job) ->
-              match job with
-              | Immediate _ | Solve { cached = Some _; _ } ->
-                  if not conn.dead then respond conn ~ordinal job
-              | Solve { id; request; fingerprint; cached = None } ->
-                  let outcome, latency_s =
-                    match !remaining with
-                    | x :: tl ->
-                        remaining := tl;
-                        x
-                    | [] -> (Error "dispatch underflow", 0.)
-                  in
-                  let outcome = maybe_corrupt ~ordinal outcome in
-                  let outcome = verified ~ordinal ~request outcome in
-                  let route = Protocol.route request in
-                  let response, ok =
-                    match outcome with
-                    | Ok rendering ->
-                        (* Committed results only: a divergent primary
-                           never reaches the cache or the wire. *)
-                        if Protocol.cacheable request then
-                          Lru.add cache fingerprint rendering;
-                        let age = Metrics.now_s () -. admitted_at in
-                        if options.deadline_ms > 0 && age > deadline_s then begin
-                          hardening.deadline_exceeded <-
-                            hardening.deadline_exceeded + 1;
-                          Tracing.Tracer.count Tracing.Span.Deadline_timeouts;
-                          ( error_response ~id ~code:"deadline_exceeded"
-                              ~extra:
-                                [
-                                  ( "elapsed_ms",
-                                    Json.Int (int_of_float (1000. *. age)) );
-                                  ("deadline_ms", Json.Int options.deadline_ms);
-                                ]
-                              "request exceeded its deadline while computing",
-                            false )
-                        end
-                        else
-                          ( result_response ~id ~route ~fingerprint
-                              ~cached:false ~rendering,
-                            true )
-                    | Error message ->
-                        (error_response ~id ~code:"internal" message, false)
-                  in
-                  if not conn.dead then
-                    respond conn ~ordinal
-                      (Immediate { route; ok; response; latency_s }))
-            classified;
-          rest
-        in
-        (* Pull complete lines out of a connection's pending buffer. *)
-        let extract_lines conn =
-          let data = Buffer.contents conn.pending in
-          Buffer.clear conn.pending;
-          let lines = ref [] in
-          let start = ref 0 in
-          String.iteri
-            (fun i c ->
-              if c = '\n' then begin
-                lines := String.sub data !start (i - !start) :: !lines;
-                start := i + 1
-              end)
-            data;
-          let remainder = String.sub data !start (String.length data - !start) in
-          if String.length remainder > options.max_request_bytes then begin
-            (* No line boundary within the limit: no way to resync. *)
-            let outcome =
-              write_all ~give_up_s ~torn:false conn
-                (Json.encode
-                   (error_response ~id:Json.Null ~code:"too-large"
-                      (Printf.sprintf "request exceeds %d bytes"
-                         options.max_request_bytes))
-                ^ "\n")
-            in
-            ignore (outcome : write_outcome);
-            Metrics.record metrics ~route:"invalid" ~ok:false ~latency_s:0.;
-            conn.dead <- true
-          end
-          else Buffer.add_string conn.pending remainder;
-          List.rev !lines
-        in
-        let line_jobs conn =
-          List.filter_map
-            (fun line ->
-              if String.trim line = "" then None
-              else if String.length line > options.max_request_bytes then
-                Some
-                  ( conn,
-                    (* Oversize but line-delimited: answer and resync. *)
-                    `Oversize )
-              else Some (conn, `Line line))
-            (extract_lines conn)
-        in
-        let read_conn conn =
-          let chunk = Bytes.create 4096 in
-          let rec loop () =
-            match Unix.read conn.fd chunk 0 (Bytes.length chunk) with
-            | 0 -> conn.eof <- true
-            | n ->
-                Buffer.add_subbytes conn.pending chunk 0 n;
-                conn.last_activity <- Metrics.now_s ();
-                loop ()
-            | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
-            | exception Unix.Unix_error (EINTR, _, _) -> loop ()
-            | exception Unix.Unix_error ((ECONNRESET | EBADF), _, _) ->
-                conn.eof <- true;
-                conn.dead <- true
-          in
-          loop ()
-        in
-        let accept listener =
-          match Unix.accept listener with
-          | fd, _ ->
-              Unix.set_nonblock fd;
-              conns :=
-                !conns
-                @ [
-                    {
-                      fd;
-                      pending = Buffer.create 256;
-                      eof = false;
-                      dead = false;
-                      last_activity = Metrics.now_s ();
-                    };
-                  ]
-          | exception
-              Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR | ECONNABORTED), _, _)
-            ->
-              ()
-        in
-        (* Slow-client protection: a connection stalled mid-request —
-           bytes buffered but no line completed, nothing read for
-           longer than the I/O timeout — is holding daemon memory
-           hostage and is dropped. Idle connections with an empty
-           buffer keep their keepalive. *)
-        let reap_stalled () =
-          if options.io_timeout_ms > 0 then begin
-            let now = Metrics.now_s () in
-            List.iter
-              (fun conn ->
-                if
-                  (not conn.dead)
-                  && Buffer.length conn.pending > 0
-                  && now -. conn.last_activity > give_up_s
-                then begin
-                  hardening.io_timeouts <- hardening.io_timeouts + 1;
-                  Tracing.Tracer.count Tracing.Span.Io_timeouts;
-                  conn.dead <- true
-                end)
-              !conns
-          end
-        in
-        let close_fd fd = try Unix.close fd with Unix.Unix_error _ -> () in
-        let listener_fds = List.map fst listeners in
-        List.iter
-          (fun (_, name) ->
-            Printf.eprintf "rexspeed serve: listening on %s\n%!" name)
-          listeners;
-        Option.iter (fun f -> f ()) on_ready;
-        let enqueue_ready ?shedding () =
-          List.iter
-            (fun conn ->
-              if not conn.dead then
-                List.iter
-                  (fun (conn, entry) ->
-                    match entry with
-                    | `Line line -> admit ?shedding conn line
-                    | `Oversize ->
-                        let outcome =
-                          write_all ~give_up_s ~torn:false conn
-                            (Json.encode
-                               (error_response ~id:Json.Null ~code:"too-large"
-                                  (Printf.sprintf "request exceeds %d bytes"
-                                     options.max_request_bytes))
-                            ^ "\n")
-                        in
-                        ignore (outcome : write_outcome);
-                        Metrics.record metrics ~route:"invalid" ~ok:false
-                          ~latency_s:0.)
-                  (line_jobs conn))
-            !conns
-        in
-        let sweep ~timeout =
-          (* A backlog means there is work regardless of the sockets:
-             poll instead of sleeping. *)
-          let timeout = if !queue <> [] then 0. else timeout in
-          (match
-             Unix.select (listener_fds @ List.map (fun c -> c.fd) !conns) [] []
-               timeout
-           with
-          | readable, _, _ ->
-              List.iter
-                (fun fd ->
-                  if List.mem fd listener_fds then accept fd
-                  else
-                    match List.find_opt (fun c -> c.fd = fd) !conns with
-                    | Some conn -> read_conn conn
-                    | None -> ())
-                readable
-          | exception Unix.Unix_error (EINTR, _, _) -> ());
-          enqueue_ready ();
-          (* One dispatch batch per sweep: the queue persists across
-             sweeps, which is what makes [max_queue] a real bound and
-             keeps accepts responsive under a backlog. *)
-          queue := process !queue;
-          reap_stalled ();
-          (* Reap connections: EOF only after their answers are out —
-             the queue may still hold admitted requests from a peer
-             that half-closed, and those deserve their responses. *)
-          let queued conn =
-            List.exists (fun (c, _, _, _) -> c == conn) !queue
-          in
-          let live, gone =
-            List.partition
-              (fun c ->
-                (not c.dead)
-                && not (c.eof && Buffer.length c.pending = 0 && not (queued c)))
-              !conns
-          in
-          List.iter (fun c -> close_fd c.fd) gone;
-          conns := live
-        in
-        while not (Atomic.get stop_requested) do
-          sweep ~timeout:0.2
-        done;
-        (* Drain: stop accepting, then answer everything already
-           admitted — including queued-but-unstarted requests — plus
-           any fully-received request still sitting in a socket
-           buffer, then close. Shedding is off: a request the client
-           already sent gets an answer, not a retry hint. *)
-        List.iter close_fd listener_fds;
-        let drain_sweep () =
-          let progress = ref true in
-          while !queue <> [] || !progress do
-            progress := false;
-            (* Only sockets that can still produce bytes: an EOF'd or
-               dead fd stays select-readable forever. *)
-            let readable_conns =
-              List.filter (fun c -> not (c.dead || c.eof)) !conns
-            in
-            (match
-               Unix.select (List.map (fun c -> c.fd) readable_conns) [] [] 0.
-             with
-            | readable, _, _ ->
-                List.iter
-                  (fun fd ->
-                    match List.find_opt (fun c -> c.fd = fd) !conns with
-                    | Some conn -> read_conn conn
-                    | None -> ())
-                  readable
-            | exception Unix.Unix_error (EINTR, _, _) -> ());
-            let before = !admitted in
-            enqueue_ready ~shedding:false ();
-            if !admitted > before then progress := true;
-            while !queue <> [] do
-              queue := process !queue
-            done
-          done
-        in
-        if !conns <> [] || !queue <> [] then
-          Tracing.Tracer.with_span ~id:0 ~label:"daemon.drain"
-            Tracing.Span.Daemon_request drain_sweep;
-        List.iter (fun c -> close_fd c.fd) !conns;
-        conns := [];
-        Printf.eprintf "rexspeed serve: drained, %d request(s) served\n%!"
-          !served;
-        ignore (Sys.signal Sys.sigpipe previous_sigpipe);
-        Ok ()
+  else Ok ()
+
+let serve ?pool ?on_ready options listeners =
+  Atomic.set stop_requested false;
+  let pool = match pool with Some p -> p | None -> Parallel.Pool.default () in
+  let previous_sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  if options.handle_signals then begin
+    Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> stop ()));
+    Sys.set_signal Sys.sigint (Sys.Signal_handle (fun _ -> stop ()))
+  end;
+  let st =
+    {
+      options;
+      pool;
+      listeners;
+      cache = Lru.create ~capacity:options.cache_entries;
+      metrics = Metrics.create ();
+      hardening = fresh_hardening ();
+      domains = Parallel.Pool.domains pool;
+      give_up_s =
+        (if options.io_timeout_ms = 0 then infinity
+         else float_of_int options.io_timeout_ms /. 1000.);
+      deadline_s = float_of_int options.deadline_ms /. 1000.;
+      conns = [];
+      queue = Queue.create ();
+      admitted = 0;
+      served = 0;
+      misses = 0;
+    }
+  in
+  List.iter
+    (fun l ->
+      Printf.eprintf "rexspeed serve: listening on %s\n%!" (Conn.endpoint l))
+    listeners;
+  Option.iter (fun f -> f ()) on_ready;
+  while not (Atomic.get stop_requested) do
+    sweep st
+  done;
+  drain st;
+  Printf.eprintf "rexspeed serve: drained, %d request(s) served\n%!" st.served;
+  ignore (Sys.signal Sys.sigpipe previous_sigpipe)
+
+let run ?pool ?on_ready options =
+  match validate options with
+  | Error _ as e -> e
+  | Ok () -> (
+      match Conn.listen ~port:options.port ~socket_path:options.socket_path with
+      | Error _ as e -> e
+      | Ok listeners ->
+          (* From here on the daemon owns the socket path: unlink it on
+             every exit, normal drain or escaping exception, so a crash
+             never leaves a stale file that blocks the next start. *)
+          Fun.protect
+            ~finally:(fun () ->
+              Option.iter
+                (fun path -> try Unix.unlink path with Unix.Unix_error _ -> ())
+                options.socket_path)
+            (fun () -> serve ?pool ?on_ready options listeners);
+          Ok ())

@@ -11,15 +11,24 @@
     {2 Concurrency model}
 
     One dispatcher domain owns every socket, the cache and the
-    metrics; solver work fans out over a [Parallel.Pool]. Each
-    iteration drains readable sockets, admits complete request lines
-    into a bounded queue, and dispatches one batch of at most
+    metrics; solver work fans out over a [Parallel.Pool]. The daemon
+    is a request handler over {!Conn}: each sweep is one [select] over
+    the listeners, every connection that may be read and every
+    connection with unwritten bytes. The sweep admits complete request
+    lines into a bounded queue and dispatches one batch of at most
     [max_inflight] requests: cache hits and [health]/[stats] answer
     inline, the batch of cache misses maps over the pool (a single
     miss runs on the dispatcher so the solver's own internal
-    parallelism is preserved). Responses go back in request order per
-    connection — except shed responses, which are written at admission
-    time; pipelined clients correlate by [id]. Because the solvers are
+    parallelism is preserved).
+
+    A response is written at once; whatever the kernel does not take
+    waits in its connection's queue until [select] finds the socket
+    writable. A client with unwritten responses is not read again
+    until they drain, so a client that pipelines without reading
+    stops being served and holds up no one else. Responses go back in
+    request order per connection — except shed responses, which are
+    written at admission time; pipelined clients correlate by [id].
+    Because the solvers are
     bit-identical for any domain count and the cache stores rendered
     bytes, a served [output] equals the one-shot CLI stdout at any
     [--domains], cache on or off.
@@ -32,8 +41,9 @@
     [deadline_exceeded] error; {b load shedding} ([max_queue]) bounds
     the admission queue and answers the overflow immediately with a
     [shed] error carrying [retry_after_ms]; {b I/O timeouts}
-    ([io_timeout_ms]) drop both unwritable response sockets and
-    connections stalled mid-request; {b verified re-execution}
+    ([io_timeout_ms]) drop a connection whose oldest unwritten
+    response has waited too long, or that stalled mid-request;
+    {b verified re-execution}
     ([verify_sample]) re-executes every Nth computed miss and compares
     response fingerprints ([Resilience.Checksum]) before commit — on
     divergence one authoritative re-execution decides, so a silently
@@ -55,9 +65,9 @@
     crashed, and at startup a leftover socket file is removed only
     after a liveness probe proves no daemon owns it. Malformed input
     never kills the daemon — it is answered with a structured JSON
-    error (and the connection dropped only when a request overruns the
-    size limit mid-line, where no message boundary is left to
-    resynchronize on). *)
+    error (and the connection closed, once answered, only when a
+    request overruns the size limit mid-line, where no message
+    boundary is left to resynchronize on). *)
 
 type options = {
   port : int option;  (** TCP listener on 127.0.0.1, if given. *)
@@ -80,9 +90,11 @@ type options = {
           dispatched, or whose computation finishes past it, is
           answered with a [deadline_exceeded] error. [0] disables. *)
   io_timeout_ms : int;
-      (** Socket read/write timeout: responses that cannot be written
-          within it drop the connection, as do connections stalled
-          mid-request for longer. [0] disables (waits forever). *)
+      (** Give-up time per connection: one whose oldest unwritten
+          response is older than this is dropped and the response
+          counts as failed, as is one stalled mid-request for longer.
+          Only that connection is affected. [0] disables (waits
+          forever). *)
   max_queue : int;
       (** Bound on the admission queue; overflowing requests are shed
           with a structured [shed] error carrying [retry_after_ms].

@@ -132,3 +132,18 @@ let fingerprint request = Resilience.Checksum.hex_of_string (canonical request)
 let cacheable = function
   | Optimize _ | Frontier _ | Evaluate _ -> true
   | Health | Stats -> false
+
+let error_response ?(extra = []) ~id ~code message =
+  Json.Obj
+    [
+      ("id", id);
+      ("status", Json.String "error");
+      ( "error",
+        Json.Obj
+          ((("code", Json.String code) :: extra)
+          @ [ ("message", Json.String message) ]) );
+    ]
+
+let too_large ~max_bytes =
+  error_response ~id:Json.Null ~code:"too-large"
+    (Printf.sprintf "request exceeds %d bytes" max_bytes)

@@ -61,3 +61,13 @@ val fingerprint : request -> string
 
 val cacheable : request -> bool
 (** Solver routes are cacheable; [health] and [stats] are live. *)
+
+val error_response :
+  ?extra:(string * Json.t) list -> id:Json.t -> code:string -> string -> Json.t
+(** The structured error every server answers with:
+    [{"id":ID,"status":"error","error":{"code":CODE,EXTRA...,"message":MSG}}],
+    [id] first so the shard router can splice it. *)
+
+val too_large : max_bytes:int -> Json.t
+(** The [too-large] error for a line over [max_bytes]; its [id] is
+    [null], since the line was never parsed. *)

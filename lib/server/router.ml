@@ -1,8 +1,11 @@
-(* The consistent-hash shard router. Single-threaded like the daemon's
-   dispatcher: one select loop owns the public listeners, every client
-   connection and one persistent pipelined connection per worker. All
-   socket I/O below goes through the bounded non-blocking helpers;
-   nothing here may block forever on a peer. *)
+(* The consistent-hash shard router: a request handler over [Conn],
+   single-threaded like the daemon's dispatcher. One sweep's
+   [Conn.poll] covers the public listeners, every client connection
+   and one pipelined link per worker, and is the only place the router
+   waits. Worker links are read on every sweep whatever the router
+   still has queued for them, and an entry counts as sent once it is
+   queued, so the router and a worker never deadlock writing to each
+   other. *)
 
 type options = {
   port : int option;
@@ -30,8 +33,8 @@ let default_options =
 let stop_requested = Atomic.make false
 let stop () = Atomic.set stop_requested true
 
-(* How long a write to a stuck peer may stall before the connection is
-   declared dead, how often each worker is probed, and how long an
+(* How long queued bytes may wait on a stuck peer before its connection
+   is dropped, how often each worker is probed, and how long an
    unanswered probe may age before the worker is failed over. *)
 let write_give_up_s = 30.
 let probe_interval_s = 0.5
@@ -42,49 +45,12 @@ let max_respawn_attempts = 3
 (* Clients                                                             *)
 
 type client = {
-  fd : Unix.file_descr;
-  pending : Buffer.t;
-  mutable eof : bool;
-  mutable dead : bool;
+  conn : Conn.t;
   mutable inflight : int;  (* requests awaiting a response *)
 }
 
-(* Bounded write on a non-blocking fd (same contract as the daemon's):
-   wait for writability when the kernel buffer is full, give up and
-   mark the connection dead after [write_give_up_s]. *)
-let write_client client s =
-  let bytes = Bytes.of_string s in
-  let len = Bytes.length bytes in
-  let off = ref 0 in
-  let give_up_at = Metrics.now_s () +. write_give_up_s in
-  try
-    while !off < len && not client.dead do
-      match Unix.write client.fd bytes !off (len - !off) with
-      | written -> off := !off + written
-      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
-          if Metrics.now_s () > give_up_at then client.dead <- true
-          else ignore (Unix.select [] [ client.fd ] [] 0.1)
-      | exception Unix.Unix_error (EINTR, _, _) -> ()
-    done
-  with Unix.Unix_error ((EPIPE | ECONNRESET | EBADF), _, _) ->
-    client.dead <- true
-
-(* ------------------------------------------------------------------ *)
-(* Responses the router answers itself                                 *)
-
-let error_response ?(extra = []) ~id ~code message =
-  Json.Obj
-    [
-      ("id", id);
-      ("status", Json.String "error");
-      ( "error",
-        Json.Obj
-          ((("code", Json.String code) :: extra)
-          @ [ ("message", Json.String message) ]) );
-    ]
-
-let respond_local (client : client) response =
-  if not client.dead then write_client client (Json.encode response ^ "\n")
+let respond_local client response =
+  Conn.send client.conn (Json.encode response ^ "\n")
 
 (* ------------------------------------------------------------------ *)
 (* Pending entries                                                     *)
@@ -119,8 +85,7 @@ type entry = {
 
 type shard = {
   worker : Supervisor.worker;
-  mutable fd : Unix.file_descr option;
-  buf : Buffer.t;  (* partial response line from the worker *)
+  mutable link : Conn.t option;
   mutable entries : entry list;  (* pending, oldest first *)
   mutable last_probe_at : float;
   mutable down : bool;
@@ -198,7 +163,8 @@ let restore_id ~id line rest_at =
       | Ok other -> Json.encode other
       | Error _ ->
           Json.encode
-            (error_response ~id ~code:"internal" "unparseable shard response"))
+            (Protocol.error_response ~id ~code:"internal"
+               "unparseable shard response"))
 
 (* ------------------------------------------------------------------ *)
 (* Fleet-wide aggregation                                              *)
@@ -219,20 +185,21 @@ let sum_parts parts path =
       match part with Some json -> acc + int_at path json | None -> acc)
     0 parts
 
+(* Client requests still owed an answer; probes do not count. *)
+let in_flight shards =
+  Array.fold_left
+    (fun acc s ->
+      acc
+      + List.length
+          (List.filter
+             (fun e ->
+               match e.kind with Relay _ | Fanout _ -> true | Probe -> false)
+             s.entries))
+    0 shards
+
 let router_json ~counters ~shards =
   let respawns =
     Array.fold_left (fun acc s -> acc + s.worker.Supervisor.respawns) 0 shards
-  in
-  let in_flight =
-    Array.fold_left
-      (fun acc s ->
-        acc
-        + List.length
-            (List.filter
-               (fun e ->
-                 match e.kind with Relay _ | Fanout _ -> true | Probe -> false)
-               s.entries))
-      0 shards
   in
   Json.Obj
     [
@@ -240,7 +207,7 @@ let router_json ~counters ~shards =
       ("failovers", Json.Int counters.failovers);
       ("respawns", Json.Int respawns);
       ("replayed", Json.Int counters.replayed);
-      ("in_flight", Json.Int in_flight);
+      ("in_flight", Json.Int (in_flight shards));
     ]
 
 let compose_health ~counters ~shards agg =
@@ -353,657 +320,479 @@ let make_runtime_dir () =
   path
 
 (* ------------------------------------------------------------------ *)
-(* Main loop                                                           *)
+(* Router state                                                        *)
 
-let run ?on_ready options =
+type state = {
+  options : options;
+  listeners : Conn.listener list;
+  runtime_dir : string;
+  counters : counters;
+  map : Shard_map.t;
+  shards : shard array;
+  probe_timeout_s : float;
+  mutable clients : client list;
+  mutable next_ordinal : int;
+  mutable served : int;
+}
+
+let fresh_ordinal st =
+  let o = st.next_ordinal in
+  st.next_ordinal <- o + 1;
+  o
+
+let close_link shard =
+  Option.iter Conn.close shard.link;
+  shard.link <- None
+
+let spawn_worker st shard =
+  let index = shard.worker.Supervisor.index in
+  Tracing.Tracer.with_span ~id:index
+    ~label:(Printf.sprintf "shard%d" index)
+    Tracing.Span.Shard_spawn
+  @@ fun () ->
+  let socket_path = shard.worker.Supervisor.socket_path in
+  match
+    Supervisor.spawn ~exe:st.options.worker_exe
+      ~args:("serve" :: "--socket" :: socket_path :: st.options.worker_args)
+      shard.worker
+  with
+  | Error _ as e -> e
+  | Ok () -> (
+      match
+        Supervisor.wait_ready shard.worker
+          ~timeout_ms:st.options.spawn_timeout_ms
+      with
+      | Error _ as e -> e
+      | Ok () -> (
+          close_link shard;
+          match Conn.connect socket_path with
+          | Ok link ->
+              shard.link <- Some link;
+              Ok ()
+          | Error e ->
+              Error (Printf.sprintf "shard %d: cannot connect: %s" index e)))
+
+(* Queue every unsent pending entry on the worker link, in ordinal
+   order. An entry counts as sent once it is queued. *)
+let send_pending shard =
+  match shard.link with
+  | Some link when not (Conn.dead link) ->
+      List.iter
+        (fun entry ->
+          if not entry.sent then begin
+            Conn.send link (entry.line ^ "\n");
+            entry.sent <- true;
+            entry.sent_at <- Metrics.now_s ()
+          end)
+        shard.entries;
+      if Conn.dead link then Error "write to worker failed" else Ok ()
+  | Some _ | None -> Error "no worker connection"
+
+let finish_fanout st agg =
+  agg.agg_client.inflight <- agg.agg_client.inflight - 1;
+  let counters = st.counters and shards = st.shards in
+  respond_local agg.agg_client
+    (match agg.agg_route with
+    | "health" -> compose_health ~counters ~shards agg
+    | _ -> compose_stats ~counters ~shards agg);
+  st.served <- st.served + 1
+
+let record_part st agg index part =
+  agg.agg_parts <- (index, part) :: agg.agg_parts;
+  agg.agg_waiting <- agg.agg_waiting - 1;
+  if agg.agg_waiting <= 0 then finish_fanout st agg
+
+(* Answer (or account) one pending entry that will never get a worker
+   response — shard declared unusable. *)
+let abandon_entry st shard entry =
+  let index = shard.worker.Supervisor.index in
+  match entry.kind with
+  | Probe -> ()
+  | Relay { client; id; route = _ } ->
+      client.inflight <- client.inflight - 1;
+      respond_local client
+        (Protocol.error_response ~id ~code:"shard_unavailable"
+           ~extra:[ ("shard", Json.Int index) ]
+           "shard worker unavailable");
+      st.served <- st.served + 1
+  | Fanout agg -> record_part st agg index None
+
+(* Handle one complete response line from a worker. Unmatched ordinals
+   (e.g. a duplicate surfacing after a replay already answered) are
+   dropped: a client hears exactly one response per request. *)
+let handle_worker_line st shard line =
+  match response_ordinal line with
+  | None -> ()
+  | Some (ordinal, rest_at) -> (
+      match List.find_opt (fun e -> e.ordinal = ordinal) shard.entries with
+      | None -> ()
+      | Some entry -> (
+          shard.entries <-
+            List.filter (fun e -> e.ordinal <> ordinal) shard.entries;
+          match entry.kind with
+          | Probe -> ()
+          | Relay { client; id; route = _ } ->
+              client.inflight <- client.inflight - 1;
+              Conn.send client.conn (restore_id ~id line rest_at ^ "\n");
+              st.served <- st.served + 1
+          | Fanout agg ->
+              let part =
+                match Json.decode line with
+                | Ok json -> Some json
+                | Error _ -> None
+              in
+              record_part st agg shard.worker.Supervisor.index part))
+
+(* Relay the complete lines a worker has written; a partial tail stays
+   buffered on the link. *)
+let relay st shard =
+  Option.iter
+    (fun link ->
+      List.iter
+        (function
+          | Conn.Line line -> handle_worker_line st shard line
+          | Conn.Too_large -> ())
+        (Conn.lines link))
+    shard.link
+
+let abandon_shard st shard =
+  close_link shard;
+  Supervisor.kill shard.worker;
+  shard.down <- true;
+  List.iter (abandon_entry st shard) shard.entries;
+  shard.entries <- []
+
+(* Failover: salvage already-committed responses, kill and respawn the
+   worker, replay what is still owed. Bounded respawn attempts; a shard
+   that cannot come back is marked down and its pending work answered
+   with a structured error (revival retries continue from the probe
+   tick). *)
+let failover st ~reason shard =
+  let index = shard.worker.Supervisor.index in
+  st.counters.failovers <- st.counters.failovers + 1;
+  Tracing.Tracer.count Tracing.Span.Router_failovers;
+  Tracing.Tracer.with_span ~id:st.counters.failovers
+    ~label:(Printf.sprintf "shard%d" index)
+    Tracing.Span.Router_failover
+  @@ fun () ->
+  Printf.eprintf "rexspeed serve: router: shard %d failover (%s)\n%!" index
+    reason;
+  (* Responses the worker already produced are committed work: relay
+     them instead of recomputing. The partial tail is dropped with the
+     link — its entry stays pending and is replayed whole. *)
+  Option.iter Conn.read shard.link;
+  relay st shard;
+  close_link shard;
+  Supervisor.kill shard.worker;
+  let rec attempt k =
+    match spawn_worker st shard with
+    | Ok () -> Ok ()
+    | Error e ->
+        Supervisor.kill shard.worker;
+        if k >= max_respawn_attempts then Error e else attempt (k + 1)
+  in
+  (match attempt 1 with
+  | Ok () -> (
+      shard.down <- false;
+      shard.worker.Supervisor.respawns <- shard.worker.Supervisor.respawns + 1;
+      Tracing.Tracer.count Tracing.Span.Shard_respawns;
+      let replayed = ref 0 in
+      List.iter
+        (fun entry ->
+          if entry.sent then begin
+            entry.sent <- false;
+            incr replayed
+          end)
+        shard.entries;
+      st.counters.replayed <- st.counters.replayed + !replayed;
+      Tracing.Tracer.count ~n:!replayed Tracing.Span.Router_replays;
+      match send_pending shard with
+      | Ok () -> ()
+      | Error _ ->
+          (* Freshly spawned yet unwritable: give up on the shard for
+             now rather than recurse. *)
+          abandon_shard st shard)
+  | Error e ->
+      Printf.eprintf "rexspeed serve: router: shard %d down (%s)\n%!" index e;
+      abandon_shard st shard);
+  shard.last_probe_at <- Metrics.now_s ()
+
+let enqueue st shard entry =
+  shard.entries <- shard.entries @ [ entry ];
+  if not shard.down then
+    match send_pending shard with
+    | Ok () -> ()
+    | Error reason -> failover st ~reason shard
+
+let new_entry ordinal line kind =
+  { ordinal; line; kind; sent = false; sent_at = 0. }
+
+let fanout st client ~id route =
+  client.inflight <- client.inflight + 1;
+  let down, live = List.partition (fun s -> s.down) (Array.to_list st.shards) in
+  let agg =
+    {
+      agg_client = client;
+      agg_id = id;
+      agg_route = route;
+      agg_waiting = List.length live;
+      agg_parts = List.map (fun s -> (s.worker.Supervisor.index, None)) down;
+    }
+  in
+  if live = [] then finish_fanout st agg
+  else
+    List.iter
+      (fun shard ->
+        let ordinal = fresh_ordinal st in
+        enqueue st shard
+          (new_entry ordinal
+             (Printf.sprintf "{\"id\":%d,\"route\":%s}" ordinal
+                (Json.encode (Json.String route)))
+             (Fanout agg)))
+      live
+
+let route_line st client line =
+  let ordinal = fresh_ordinal st in
+  Tracing.Tracer.with_span ~id:ordinal Tracing.Span.Router_route @@ fun () ->
+  let answer response =
+    respond_local client response;
+    st.served <- st.served + 1
+  in
+  match Json.decode line with
+  | Error e ->
+      answer
+        (Protocol.error_response ~id:Json.Null ~code:"parse"
+           ~extra:[ ("position", Json.Int e.position) ]
+           e.message)
+  | Ok json -> (
+      let id = Option.value (Json.member "id" json) ~default:Json.Null in
+      match Protocol.parse json with
+      | Error reason ->
+          answer (Protocol.error_response ~id ~code:"bad-request" reason)
+      | Ok Protocol.Health -> fanout st client ~id "health"
+      | Ok Protocol.Stats -> fanout st client ~id "stats"
+      | Ok request ->
+          let index = Shard_map.lookup st.map (Protocol.fingerprint request) in
+          st.counters.routed <- st.counters.routed + 1;
+          Tracing.Tracer.count Tracing.Span.Router_routed;
+          let shard = st.shards.(index) in
+          if shard.down then
+            answer
+              (Protocol.error_response ~id ~code:"shard_unavailable"
+                 ~extra:[ ("shard", Json.Int index) ]
+                 "shard worker unavailable")
+          else begin
+            client.inflight <- client.inflight + 1;
+            enqueue st shard
+              (new_entry ordinal
+                 (rewrite_request ~ordinal line)
+                 (Relay { client; id; route = Protocol.route request }))
+          end)
+
+let handle_client_lines st client =
+  let max_bytes = st.options.max_request_bytes in
+  List.iter
+    (function
+      | Conn.Line line -> route_line st client line
+      | Conn.Too_large -> respond_local client (Protocol.too_large ~max_bytes))
+    (Conn.lines ~max_bytes client.conn)
+
+(* Liveness: process exits caught by waitpid, wedged workers by a
+   stalled health probe, down shards periodically revived. *)
+let probe_tick st =
+  let now = Metrics.now_s () in
+  let is_probe e =
+    match e.kind with Probe -> true | Relay _ | Fanout _ -> false
+  in
+  Array.iter
+    (fun shard ->
+      if shard.down then begin
+        if now -. shard.last_probe_at > revive_interval_s then begin
+          shard.last_probe_at <- now;
+          failover st ~reason:"revival attempt" shard
+        end
+      end
+      else if not (Supervisor.alive shard.worker) then
+        failover st ~reason:"worker process exited" shard
+      else if
+        List.exists
+          (fun e ->
+            is_probe e && e.sent && now -. e.sent_at > st.probe_timeout_s)
+          shard.entries
+      then failover st ~reason:"health probe stalled" shard
+      else if
+        now -. shard.last_probe_at > probe_interval_s
+        && not (List.exists is_probe shard.entries)
+      then begin
+        shard.last_probe_at <- now;
+        let ordinal = fresh_ordinal st in
+        enqueue st shard
+          (new_entry ordinal
+             (Printf.sprintf "{\"id\":%d,\"route\":\"health\"}" ordinal)
+             Probe)
+      end)
+    st.shards
+
+let sweep st ~accepting ~timeout =
+  let links = List.filter_map (fun s -> s.link) (Array.to_list st.shards) in
+  let events =
+    Conn.poll
+      ~listeners:(if accepting then st.listeners else [])
+      (links @ List.map (fun c -> c.conn) st.clients)
+      ~give_up_s:write_give_up_s ~timeout
+  in
+  st.clients <-
+    st.clients @ List.map (fun conn -> { conn; inflight = 0 }) events.accepted;
+  Array.iter
+    (fun shard ->
+      match shard.link with
+      | None -> ()
+      | Some link ->
+          relay st shard;
+          if Conn.eof link then
+            failover st shard
+              ~reason:
+                (if List.memq link events.timed_out then "worker link stalled"
+                 else "worker connection closed"))
+    st.shards;
+  List.iter
+    (fun c -> if not (Conn.dead c.conn) then handle_client_lines st c)
+    st.clients;
+  probe_tick st;
+  (* Close a client at EOF only once its answers are out. Entries owed
+     to a dropped client still complete on their worker; a dead
+     connection discards their responses. *)
+  let gone, live =
+    List.partition
+      (fun c -> Conn.dead c.conn || (Conn.drained c.conn && c.inflight <= 0))
+      st.clients
+  in
+  List.iter (fun c -> Conn.close c.conn) gone;
+  st.clients <- live
+
+(* Drain: stop accepting, answer everything in flight plus any
+   fully-received request still in a socket buffer, then stop the
+   fleet. Time-bounded so a wedged worker cannot hang shutdown:
+   leftovers get a structured error. A client is read again only once
+   its answers are out, so a sweep that began with bytes to write is
+   never a quiet one. *)
+let drain st =
+  List.iter Conn.close_listener st.listeners;
+  let give_up_at = Metrics.now_s () +. 30. in
+  let writing () = List.exists (fun c -> Conn.unwritten c.conn) st.clients in
+  let quiet = ref 0 in
+  while
+    (in_flight st.shards > 0 || writing () || !quiet < 2)
+    && Metrics.now_s () < give_up_at
+  do
+    let before = st.served and was_writing = writing () in
+    sweep st ~accepting:false ~timeout:0.05;
+    if in_flight st.shards = 0 && st.served = before && not was_writing then
+      incr quiet
+    else quiet := 0
+  done;
+  Array.iter
+    (fun shard ->
+      List.iter (abandon_entry st shard) shard.entries;
+      shard.entries <- [])
+    st.shards;
+  List.iter (fun c -> Conn.close c.conn) st.clients;
+  st.clients <- []
+
+let validate (options : options) =
   if options.shards < 1 then Error "--shards must be >= 1"
   else if options.shards > 64 then Error "--shards must be <= 64"
   else if options.spawn_timeout_ms < 1 then
     Error "--shard-spawn-timeout-ms must be >= 1"
   else if options.max_request_bytes < 2 then
     Error "--max-request-bytes must be at least 2"
-  else
-    match
-      Listener.bind ~port:options.port ~socket_path:options.socket_path
-    with
-    | Error _ as e -> e
-    | Ok listeners ->
-        Atomic.set stop_requested false;
-        let runtime_dir = make_runtime_dir () in
-        let counters = { routed = 0; failovers = 0; replayed = 0 } in
-        let map = Shard_map.create ~shards:options.shards in
-        let shards =
-          Array.init options.shards (fun i ->
-              {
-                worker =
-                  Supervisor.make ~index:i
-                    ~socket_path:
-                      (Filename.concat runtime_dir
-                         (Printf.sprintf "worker-%d.sock" i));
-                fd = None;
-                buf = Buffer.create 256;
-                entries = [];
-                last_probe_at = 0.;
-                down = false;
-              })
-        in
-        let close_fd fd = try Unix.close fd with Unix.Unix_error _ -> () in
-        let probe_timeout_s =
-          Float.max 2. (float_of_int options.spawn_timeout_ms /. 1000.)
-        in
-        let served = ref 0 in
-        let clients = ref [] in
-        let next_ordinal = ref 0 in
-        let fresh_ordinal () =
-          let o = !next_ordinal in
-          incr next_ordinal;
-          o
-        in
-        let worker_args shard =
-          ("serve" :: "--socket" :: shard.worker.Supervisor.socket_path
-         :: options.worker_args)
-        in
-        let close_worker_fd shard =
-          match shard.fd with
-          | Some fd ->
-              close_fd fd;
-              shard.fd <- None;
-              Buffer.clear shard.buf
-          | None -> ()
-        in
-        let connect_worker shard =
-          close_worker_fd shard;
-          let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-          match
-            Unix.connect fd (Unix.ADDR_UNIX shard.worker.Supervisor.socket_path)
-          with
-          | () ->
-              Unix.set_nonblock fd;
-              shard.fd <- Some fd;
-              Ok ()
-          | exception Unix.Unix_error (err, _, _) ->
-              close_fd fd;
-              Error
-                (Printf.sprintf "shard %d: cannot connect: %s"
-                   shard.worker.Supervisor.index (Unix.error_message err))
-        in
-        let spawn_worker shard =
-          let index = shard.worker.Supervisor.index in
-          Tracing.Tracer.with_span ~id:index
-            ~label:(Printf.sprintf "shard%d" index)
-            Tracing.Span.Shard_spawn
-          @@ fun () ->
-          match
-            Supervisor.spawn ~exe:options.worker_exe ~args:(worker_args shard)
-              shard.worker
-          with
-          | Error _ as e -> e
-          | Ok () -> (
-              match
-                Supervisor.wait_ready shard.worker
-                  ~timeout_ms:options.spawn_timeout_ms
-              with
-              | Error _ as e -> e
-              | Ok () -> connect_worker shard)
-        in
-        (* Bounded write to a worker; a stall means the worker is gone
-           or wedged, and the caller fails the shard over. *)
-        let write_worker fd s =
-          let bytes = Bytes.of_string s in
-          let len = Bytes.length bytes in
-          let off = ref 0 in
-          let give_up_at = Metrics.now_s () +. write_give_up_s in
-          let ok = ref true in
-          (try
-             while !off < len && !ok do
-               match Unix.write fd bytes !off (len - !off) with
-               | written -> off := !off + written
-               | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
-                   if Metrics.now_s () > give_up_at then ok := false
-                   else ignore (Unix.select [] [ fd ] [] 0.1)
-               | exception Unix.Unix_error (EINTR, _, _) -> ()
-             done
-           with Unix.Unix_error ((EPIPE | ECONNRESET | EBADF), _, _) ->
-             ok := false);
-          !ok
-        in
-        (* Send every unsent pending entry, in ordinal order. *)
-        let send_pending shard =
-          match shard.fd with
-          | None -> Error "no worker connection"
-          | Some fd ->
-              let rec loop = function
-                | [] -> Ok ()
-                | entry :: rest ->
-                    if entry.sent then loop rest
-                    else if write_worker fd (entry.line ^ "\n") then begin
-                      entry.sent <- true;
-                      entry.sent_at <- Metrics.now_s ();
-                      loop rest
-                    end
-                    else Error "write to worker stalled"
-              in
-              loop shard.entries
-        in
-        let finish_fanout agg =
-          agg.agg_client.inflight <- agg.agg_client.inflight - 1;
-          let response =
-            match agg.agg_route with
-            | "health" -> compose_health ~counters ~shards agg
-            | _ -> compose_stats ~counters ~shards agg
-          in
-          respond_local agg.agg_client response;
-          incr served
-        in
-        let record_part agg index part =
-          agg.agg_parts <- (index, part) :: agg.agg_parts;
-          agg.agg_waiting <- agg.agg_waiting - 1;
-          if agg.agg_waiting <= 0 then finish_fanout agg
-        in
-        (* Answer (or account) one pending entry that will never get a
-           worker response — shard declared unusable. *)
-        let abandon_entry shard entry =
-          match entry.kind with
-          | Probe -> ()
-          | Relay { client; id; route = _ } ->
-              client.inflight <- client.inflight - 1;
-              respond_local client
-                (error_response ~id ~code:"shard_unavailable"
-                   ~extra:
-                     [
-                       ( "shard",
-                         Json.Int shard.worker.Supervisor.index );
-                     ]
-                   "shard worker unavailable");
-              incr served
-          | Fanout agg -> record_part agg shard.worker.Supervisor.index None
-        in
-        (* Handle one complete response line from a worker. Unmatched
-           ordinals (e.g. a duplicate surfacing after a replay already
-           answered) are dropped: a client hears exactly one response
-           per request. *)
-        let handle_worker_line shard line =
-          if String.trim line = "" then ()
-          else
-            match response_ordinal line with
-            | None -> ()
-            | Some (ordinal, rest_at) -> (
-                let found =
-                  List.find_opt (fun e -> e.ordinal = ordinal) shard.entries
-                in
-                match found with
-                | None -> ()
-                | Some entry -> (
-                    shard.entries <-
-                      List.filter (fun e -> e.ordinal <> ordinal) shard.entries;
-                    match entry.kind with
-                    | Probe -> ()
-                    | Relay { client; id; route = _ } ->
-                        client.inflight <- client.inflight - 1;
-                        if not client.dead then
-                          write_client client (restore_id ~id line rest_at ^ "\n");
-                        incr served
-                    | Fanout agg ->
-                        let part =
-                          match Json.decode line with
-                          | Ok json -> Some json
-                          | Error _ -> None
-                        in
-                        record_part agg shard.worker.Supervisor.index part))
-        in
-        let extract_worker_lines shard =
-          let data = Buffer.contents shard.buf in
-          Buffer.clear shard.buf;
-          let lines = ref [] in
-          let start = ref 0 in
-          String.iteri
-            (fun i c ->
-              if c = '\n' then begin
-                lines := String.sub data !start (i - !start) :: !lines;
-                start := i + 1
-              end)
-            data;
-          Buffer.add_string shard.buf
-            (String.sub data !start (String.length data - !start));
-          List.rev !lines
-        in
-        (* Read whatever the worker has written; complete lines are
-           handled, a partial tail stays buffered. Returns [false] on
-           EOF or a connection error — the failover trigger. *)
-        let read_worker shard =
-          match shard.fd with
-          | None -> true
-          | Some fd ->
-              let chunk = Bytes.create 4096 in
-              let healthy = ref true in
-              let rec loop () =
-                match Unix.read fd chunk 0 (Bytes.length chunk) with
-                | 0 -> healthy := false
-                | n ->
-                    Buffer.add_subbytes shard.buf chunk 0 n;
-                    loop ()
-                | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
-                    ()
-                | exception Unix.Unix_error (EINTR, _, _) -> loop ()
-                | exception Unix.Unix_error ((ECONNRESET | EBADF | EPIPE), _, _)
-                  ->
-                    healthy := false
-              in
-              loop ();
-              List.iter (handle_worker_line shard) (extract_worker_lines shard);
-              !healthy
-        in
-        (* Failover: salvage already-committed responses, kill and
-           respawn the worker, replay what is still owed. Bounded
-           respawn attempts; a shard that cannot come back is marked
-           down and its pending work answered with a structured error
-           (revival retries continue from the probe tick). *)
-        let failover ~reason shard =
-          let index = shard.worker.Supervisor.index in
-          counters.failovers <- counters.failovers + 1;
-          Tracing.Tracer.count Tracing.Span.Router_failovers;
-          Tracing.Tracer.with_span ~id:counters.failovers
-            ~label:(Printf.sprintf "shard%d" index)
-            Tracing.Span.Router_failover
-          @@ fun () ->
-          Printf.eprintf "rexspeed serve: router: shard %d failover (%s)\n%!"
-            index reason;
-          (* Responses the worker already produced are committed work:
-             relay them instead of recomputing. The partial tail in
-             the buffer is dropped — its entry stays pending and is
-             replayed whole. *)
-          ignore (read_worker shard : bool);
-          close_worker_fd shard;
-          Supervisor.kill shard.worker;
-          let rec attempt k =
-            match spawn_worker shard with
-            | Ok () -> Ok ()
-            | Error e ->
-                Supervisor.kill shard.worker;
-                if k >= max_respawn_attempts then Error e else attempt (k + 1)
-          in
-          match attempt 1 with
-          | Ok () ->
-              shard.down <- false;
-              shard.worker.Supervisor.respawns <-
-                shard.worker.Supervisor.respawns + 1;
-              Tracing.Tracer.count Tracing.Span.Shard_respawns;
-              let replayed = ref 0 in
-              List.iter
-                (fun entry ->
-                  if entry.sent then begin
-                    entry.sent <- false;
-                    incr replayed
-                  end)
-                shard.entries;
-              counters.replayed <- counters.replayed + !replayed;
-              Tracing.Tracer.count ~n:!replayed Tracing.Span.Router_replays;
-              (match send_pending shard with
-              | Ok () -> ()
-              | Error _ ->
-                  (* Freshly spawned yet unwritable: give up on the
-                     shard for now rather than recurse. *)
-                  close_worker_fd shard;
-                  Supervisor.kill shard.worker;
-                  shard.down <- true;
-                  List.iter (abandon_entry shard) shard.entries;
-                  shard.entries <- []);
-              shard.last_probe_at <- Metrics.now_s ()
-          | Error e ->
-              Printf.eprintf
-                "rexspeed serve: router: shard %d down (%s)\n%!" index e;
-              shard.down <- true;
-              List.iter (abandon_entry shard) shard.entries;
-              shard.entries <- [];
-              shard.last_probe_at <- Metrics.now_s ()
-        in
-        let enqueue shard entry =
-          shard.entries <- shard.entries @ [ entry ];
-          if not shard.down then
-            match send_pending shard with
-            | Ok () -> ()
-            | Error reason -> failover ~reason shard
-        in
-        let fanout (client : client) ~id route =
-          client.inflight <- client.inflight + 1;
-          let down_parts =
-            Array.to_list shards
-            |> List.filter (fun s -> s.down)
-            |> List.map (fun s -> (s.worker.Supervisor.index, None))
-          in
-          let live = Array.to_list shards |> List.filter (fun s -> not s.down) in
-          let agg =
-            {
-              agg_client = client;
-              agg_id = id;
-              agg_route = route;
-              agg_waiting = List.length live;
-              agg_parts = down_parts;
-            }
-          in
-          if live = [] then finish_fanout agg
-          else
-            List.iter
-              (fun shard ->
-                let ordinal = fresh_ordinal () in
-                enqueue shard
-                  {
-                    ordinal;
-                    line =
-                      Printf.sprintf "{\"id\":%d,\"route\":%s}" ordinal
-                        (Json.encode (Json.String route));
-                    kind = Fanout agg;
-                    sent = false;
-                    sent_at = 0.;
-                  })
-              live
-        in
-        let route_line (client : client) line =
-          let ordinal = fresh_ordinal () in
-          Tracing.Tracer.with_span ~id:ordinal Tracing.Span.Router_route
-          @@ fun () ->
-          match Json.decode line with
-          | Error e ->
-              respond_local client
-                (error_response ~id:Json.Null ~code:"parse"
-                   ~extra:[ ("position", Json.Int e.position) ]
-                   e.message);
-              incr served
-          | Ok json -> (
-              let id =
-                Option.value (Json.member "id" json) ~default:Json.Null
-              in
-              match Protocol.parse json with
-              | Error reason ->
-                  respond_local client
-                    (error_response ~id ~code:"bad-request" reason);
-                  incr served
-              | Ok Protocol.Health -> fanout client ~id "health"
-              | Ok Protocol.Stats -> fanout client ~id "stats"
-              | Ok request ->
-                  let fingerprint = Protocol.fingerprint request in
-                  let index = Shard_map.lookup map fingerprint in
-                  counters.routed <- counters.routed + 1;
-                  Tracing.Tracer.count Tracing.Span.Router_routed;
-                  let shard = shards.(index) in
-                  if shard.down then begin
-                    respond_local client
-                      (error_response ~id ~code:"shard_unavailable"
-                         ~extra:[ ("shard", Json.Int index) ]
-                         "shard worker unavailable");
-                    incr served
-                  end
-                  else begin
-                    client.inflight <- client.inflight + 1;
-                    enqueue shard
-                      {
-                        ordinal;
-                        line = rewrite_request ~ordinal line;
-                        kind = Relay { client; id; route = Protocol.route request };
-                        sent = false;
-                        sent_at = 0.;
-                      }
-                  end)
-        in
-        (* Client-side line framing, same rules as the daemon. *)
-        let extract_client_lines (client : client) =
-          let data = Buffer.contents client.pending in
-          Buffer.clear client.pending;
-          let lines = ref [] in
-          let start = ref 0 in
-          String.iteri
-            (fun i c ->
-              if c = '\n' then begin
-                lines := String.sub data !start (i - !start) :: !lines;
-                start := i + 1
-              end)
-            data;
-          let remainder =
-            String.sub data !start (String.length data - !start)
-          in
-          if String.length remainder > options.max_request_bytes then begin
-            respond_local client
-              (error_response ~id:Json.Null ~code:"too-large"
-                 (Printf.sprintf "request exceeds %d bytes"
-                    options.max_request_bytes));
-            client.dead <- true
-          end
-          else Buffer.add_string client.pending remainder;
-          List.rev !lines
-        in
-        let handle_client_lines (client : client) =
-          List.iter
-            (fun line ->
-              if String.trim line = "" then ()
-              else if String.length line > options.max_request_bytes then
-                respond_local client
-                  (error_response ~id:Json.Null ~code:"too-large"
-                     (Printf.sprintf "request exceeds %d bytes"
-                        options.max_request_bytes))
-              else route_line client line)
-            (extract_client_lines client)
-        in
-        let read_client (client : client) =
-          let chunk = Bytes.create 4096 in
-          let rec loop () =
-            match Unix.read client.fd chunk 0 (Bytes.length chunk) with
-            | 0 -> client.eof <- true
-            | n ->
-                Buffer.add_subbytes client.pending chunk 0 n;
-                loop ()
-            | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
-            | exception Unix.Unix_error (EINTR, _, _) -> loop ()
-            | exception Unix.Unix_error ((ECONNRESET | EBADF), _, _) ->
-                client.eof <- true;
-                client.dead <- true
-          in
-          loop ();
-          handle_client_lines client
-        in
-        let accept listener =
-          match Unix.accept listener with
-          | fd, _ ->
-              Unix.set_nonblock fd;
-              clients :=
-                !clients
-                @ [
-                    {
-                      fd;
-                      pending = Buffer.create 256;
-                      eof = false;
-                      dead = false;
-                      inflight = 0;
-                    };
-                  ]
-          | exception
-              Unix.Unix_error
-                ((EAGAIN | EWOULDBLOCK | EINTR | ECONNABORTED), _, _) ->
-              ()
-        in
-        (* Liveness: process exits caught by waitpid, wedged workers by
-           a stalled health probe, down shards periodically revived. *)
-        let probe_tick () =
-          let now = Metrics.now_s () in
-          Array.iter
-            (fun shard ->
-              if shard.down then begin
-                if now -. shard.last_probe_at > revive_interval_s then begin
-                  shard.last_probe_at <- now;
-                  failover ~reason:"revival attempt" shard
-                end
-              end
-              else if not (Supervisor.alive shard.worker) then
-                failover ~reason:"worker process exited" shard
-              else begin
-                let stalled =
-                  List.exists
-                    (fun e ->
-                      (match e.kind with Probe -> true | _ -> false)
-                      && e.sent
-                      && now -. e.sent_at > probe_timeout_s)
-                    shard.entries
-                in
-                if stalled then failover ~reason:"health probe stalled" shard
-                else if
-                  now -. shard.last_probe_at > probe_interval_s
-                  && not
-                       (List.exists
-                          (fun e ->
-                            match e.kind with Probe -> true | _ -> false)
-                          shard.entries)
-                then begin
-                  shard.last_probe_at <- now;
-                  let ordinal = fresh_ordinal () in
-                  enqueue shard
-                    {
-                      ordinal;
-                      line =
-                        Printf.sprintf "{\"id\":%d,\"route\":\"health\"}"
-                          ordinal;
-                      kind = Probe;
-                      sent = false;
-                      sent_at = 0.;
-                    }
-                end
-              end)
-            shards
-        in
-        let sweep ~accepting ~timeout =
-          let listener_fds = if accepting then List.map fst listeners else [] in
-          let client_fds =
-            List.filter_map
-              (fun (c : client) -> if c.dead || c.eof then None else Some c.fd)
-              !clients
-          in
-          let worker_fds =
-            Array.to_list shards |> List.filter_map (fun s -> s.fd)
-          in
-          (match
-             Unix.select (listener_fds @ client_fds @ worker_fds) [] [] timeout
-           with
-          | readable, _, _ ->
-              List.iter
-                (fun fd ->
-                  if List.mem fd listener_fds then accept fd
-                  else
-                    match
-                      Array.to_list shards
-                      |> List.find_opt (fun s -> s.fd = Some fd)
-                    with
-                    | Some shard ->
-                        if not (read_worker shard) then
-                          failover ~reason:"worker connection closed" shard
-                    | None -> (
-                        match
-                          List.find_opt (fun (c : client) -> c.fd = fd) !clients
-                        with
-                        | Some client -> read_client client
-                        | None -> ()))
-                readable
-          | exception Unix.Unix_error (EINTR, _, _) -> ());
-          probe_tick ();
-          (* Reap clients: EOF only after their answers are out. *)
-          let live, gone =
-            List.partition
-              (fun (c : client) ->
-                (not c.dead)
-                && not
-                     (c.eof
-                     && Buffer.length c.pending = 0
-                     && c.inflight <= 0))
-              !clients
-          in
-          List.iter
-            (fun (c : client) ->
-              (* Entries owed to a dropped client still complete on
-                 their worker; their responses are discarded on
-                 relay because [dead] is checked before writing. *)
-              close_fd c.fd)
-            gone;
-          clients := live
-        in
-        let pending_work () =
-          Array.fold_left
-            (fun acc s ->
-              acc
-              + List.length
-                  (List.filter
-                     (fun e ->
-                       match e.kind with
-                       | Relay _ | Fanout _ -> true
-                       | Probe -> false)
-                     s.entries))
-            0 shards
-        in
-        (* Startup: spawn the whole fleet before accepting traffic. *)
-        let previous_sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
-        let cleanup () =
-          Array.iter
-            (fun shard ->
-              close_worker_fd shard;
-              Supervisor.terminate shard.worker ~grace_ms:5_000)
-            shards;
-          (try Unix.rmdir runtime_dir with Unix.Unix_error _ -> ());
-          (match options.socket_path with
-          | Some path -> (
-              try Unix.unlink path with Unix.Unix_error _ -> ())
-          | None -> ());
-          ignore (Sys.signal Sys.sigpipe previous_sigpipe)
-        in
-        Fun.protect ~finally:cleanup @@ fun () ->
-        let startup =
-          Array.fold_left
-            (fun acc shard ->
-              match acc with
-              | Error _ as e -> e
-              | Ok () -> spawn_worker shard)
-            (Ok ()) shards
-        in
-        match startup with
-        | Error e ->
-            List.iter (fun (fd, _) -> close_fd fd) listeners;
-            Error e
-        | Ok () ->
-            if options.handle_signals then begin
-              Sys.set_signal Sys.sigterm
-                (Sys.Signal_handle (fun _ -> stop ()));
-              Sys.set_signal Sys.sigint (Sys.Signal_handle (fun _ -> stop ()))
-            end;
-            List.iter
-              (fun (_, name) ->
-                Printf.eprintf
-                  "rexspeed serve: router listening on %s (%d shards)\n%!"
-                  name options.shards)
-              listeners;
-            Option.iter (fun f -> f ()) on_ready;
-            while not (Atomic.get stop_requested) do
-              sweep ~accepting:true ~timeout:0.2
-            done;
-            (* Drain: stop accepting, answer everything in flight plus
-               any fully-received request still in a socket buffer,
-               then stop the fleet. Time-bounded so a wedged worker
-               cannot hang shutdown: leftovers get a structured
-               error. *)
-            List.iter (fun (fd, _) -> close_fd fd) listeners;
-            let give_up_at = Metrics.now_s () +. 30. in
-            let quiet = ref 0 in
-            while
-              (pending_work () > 0 || !quiet < 2)
-              && Metrics.now_s () < give_up_at
-            do
-              let before = !served in
-              sweep ~accepting:false ~timeout:0.05;
-              if pending_work () = 0 && !served = before then incr quiet
-              else quiet := 0
-            done;
-            Array.iter
-              (fun shard ->
-                List.iter (abandon_entry shard) shard.entries;
-                shard.entries <- [])
-              shards;
-            List.iter (fun (c : client) -> close_fd c.fd) !clients;
-            clients := [];
-            Printf.eprintf
-              "rexspeed serve: router drained, %d response(s) relayed\n%!"
-              !served;
-            Ok ()
+  else Ok ()
+
+let create (options : options) listeners =
+  let runtime_dir = make_runtime_dir () in
+  {
+    options;
+    listeners;
+    runtime_dir;
+    counters = { routed = 0; failovers = 0; replayed = 0 };
+    map = Shard_map.create ~shards:options.shards;
+    shards =
+      Array.init options.shards (fun i ->
+          {
+            worker =
+              Supervisor.make ~index:i
+                ~socket_path:
+                  (Filename.concat runtime_dir
+                     (Printf.sprintf "worker-%d.sock" i));
+            link = None;
+            entries = [];
+            last_probe_at = 0.;
+            down = false;
+          });
+    probe_timeout_s =
+      Float.max 2. (float_of_int options.spawn_timeout_ms /. 1000.);
+    clients = [];
+    next_ordinal = 0;
+    served = 0;
+  }
+
+let cleanup st =
+  Array.iter
+    (fun shard ->
+      close_link shard;
+      Supervisor.terminate shard.worker ~grace_ms:5_000)
+    st.shards;
+  (try Unix.rmdir st.runtime_dir with Unix.Unix_error _ -> ());
+  Option.iter
+    (fun path -> try Unix.unlink path with Unix.Unix_error _ -> ())
+    st.options.socket_path
+
+(* Spawn the whole fleet before accepting traffic, then route until
+   stopped and drain. *)
+let serve ?on_ready st =
+  let startup =
+    Array.fold_left
+      (fun acc shard ->
+        match acc with Error _ as e -> e | Ok () -> spawn_worker st shard)
+      (Ok ()) st.shards
+  in
+  match startup with
+  | Error e ->
+      List.iter Conn.close_listener st.listeners;
+      Error e
+  | Ok () ->
+      if st.options.handle_signals then begin
+        Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> stop ()));
+        Sys.set_signal Sys.sigint (Sys.Signal_handle (fun _ -> stop ()))
+      end;
+      List.iter
+        (fun l ->
+          Printf.eprintf
+            "rexspeed serve: router listening on %s (%d shards)\n%!"
+            (Conn.endpoint l) st.options.shards)
+        st.listeners;
+      Option.iter (fun f -> f ()) on_ready;
+      while not (Atomic.get stop_requested) do
+        sweep st ~accepting:true ~timeout:0.2
+      done;
+      drain st;
+      Printf.eprintf
+        "rexspeed serve: router drained, %d response(s) relayed\n%!"
+        st.served;
+      Ok ()
+
+let run ?on_ready options =
+  match validate options with
+  | Error _ as e -> e
+  | Ok () -> (
+      match Conn.listen ~port:options.port ~socket_path:options.socket_path with
+      | Error _ as e -> e
+      | Ok listeners ->
+          Atomic.set stop_requested false;
+          let st = create options listeners in
+          let previous_sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+          Fun.protect
+            ~finally:(fun () ->
+              cleanup st;
+              ignore (Sys.signal Sys.sigpipe previous_sigpipe))
+            (fun () -> serve ?on_ready st))

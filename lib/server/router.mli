@@ -11,6 +11,14 @@
     domain pool, its own hardening counters. One persistent pipelined
     connection links the router to each worker.
 
+    Like the daemon, the router is a request handler over {!Conn}: one
+    [select] per sweep covers the public listeners, every client and
+    every worker link, and nothing else waits. A client with unwritten
+    responses is not read again until they drain. A worker link is
+    read on every sweep, and an entry counts as sent once it is
+    queued on the link, so the router and a worker never deadlock
+    writing to each other.
+
     {2 Routing}
 
     Every solver request is routed by {!Shard_map.lookup} on its
@@ -34,8 +42,8 @@
     {2 Failover}
 
     A worker is declared dead when its process exits, its connection
-    breaks, a write to it stalls, or a periodic health probe goes
-    unanswered. Failover then: drains any responses the worker already
+    breaks, bytes queued for it wait more than 30 s, or a periodic
+    health probe goes unanswered. Failover then: drains any responses the worker already
     committed, SIGKILLs the process, respawns it (bounded retries),
     and replays every request still pending on that shard under its
     original ordinal. A request is answered exactly once: replay only

@@ -57,14 +57,11 @@ let alive worker =
   | exception Unix.Unix_error (EINTR, _, _) -> true
 
 let probe_accepts path =
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  let connected =
-    match Unix.connect fd (Unix.ADDR_UNIX path) with
-    | () -> true
-    | exception Unix.Unix_error (_, _, _) -> false
-  in
-  (try Unix.close fd with Unix.Unix_error _ -> ());
-  connected
+  match Conn.connect path with
+  | Ok probe ->
+      Conn.close probe;
+      true
+  | Error _ -> false
 
 let wait_ready worker ~timeout_ms =
   let deadline = Metrics.now_s () +. (float_of_int timeout_ms /. 1000.) in

@@ -5,7 +5,10 @@
 # forced failover, where every worker is SIGKILLed and the router must
 # respawn the fleet and keep answering without a lost or divergent
 # response. SIGTERM must drain the router, remove its socket and leave
-# no orphaned worker processes.
+# no orphaned worker processes. Workers must run the router's
+# --domains, and the router must keep serving a pipelined burst, and
+# everyone else while one client stops reading, without failing over a
+# healthy worker.
 #
 # Usage: sh shard_smoke.sh path/to/rexspeed.exe path/to/serve_client.exe
 set -eu
@@ -17,7 +20,9 @@ case $client in */*) ;; *) client="./$client" ;; esac
 . "$(dirname "$0")/net.sh"
 tmp=$(net_tmpdir)
 router_pid=
+stall_pid=
 cleanup() {
+  [ -z "$stall_pid" ] || kill "$stall_pid" 2>/dev/null || true
   [ -z "$router_pid" ] || kill "$router_pid" 2>/dev/null || true
   rm -rf "$tmp"
 }
@@ -47,6 +52,12 @@ start_router() { # $1 = shards, $2 = domains
     [ "$tries" -lt 200 ] || fail "router never became healthy"
     sleep 0.05
   done
+  got=$("$client" "$sock" '{"route":"health"}' result.shard.0.health.workers.domains)
+  [ "$got" = "$2" ] || fail "worker runs $got domain(s), want --domains $2"
+}
+
+failovers() {
+  "$client" "$sock" '{"route":"health"}' result.router.failovers
 }
 
 stop_router() {
@@ -101,6 +112,31 @@ for shards in 2 3; do
     stop_router
   done
 done
+
+# Pipelining through the fleet: a 2000-request burst from a client that
+# reads as it goes is answered in full, byte-identical, with no
+# failover; and while another client pipelines without ever reading,
+# a health request still answers within 5 s: the router never waits
+# on one client.
+start_router 2 1
+"$client" --pipeline 2000 --within 60 "$sock" "$opt_req" "$tmp/optimize.d1" \
+  >/dev/null || fail "pipelined burst through the router not fully answered"
+[ "$(failovers)" = 0 ] || fail "router failed over during a pipelined burst"
+"$client" --pipeline 4000 --no-read "$sock" "$opt_req" >"$tmp/stall.out" &
+stall_pid=$!
+tries=0
+until [ -s "$tmp/stall.out" ]; do
+  tries=$((tries + 1))
+  [ "$tries" -lt 600 ] || fail "non-reading client never stopped writing"
+  sleep 0.05
+done
+"$client" --pipeline 1 --within 5 "$sock" '{"route":"health"}' >/dev/null ||
+  fail "health through the router waited on a client that stopped reading"
+[ "$(failovers)" = 0 ] || fail "router failed over while a client stalled"
+kill "$stall_pid"
+wait "$stall_pid" 2>/dev/null || true
+stall_pid=
+stop_router
 
 # Forced failover: SIGKILL the whole fleet, then demand the same bytes
 # again — the router must detect the deaths, respawn every worker and

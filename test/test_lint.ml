@@ -436,7 +436,9 @@ let test_allowlist () =
     (Rules.allowlisted Diagnostic.RX010 "lib/trace/clock.ml");
   Alcotest.(check bool) "the tracer is not exempt" false
     (Rules.allowlisted Diagnostic.RX010 "lib/trace/tracer.ml");
-  Alcotest.(check bool) "daemon I/O layer may call Unix.read" true
+  Alcotest.(check bool) "the connection layer may call Unix.read" true
+    (Rules.allowlisted Diagnostic.RX011 "lib/server/conn.ml");
+  Alcotest.(check bool) "the daemon is not exempt from RX011" false
     (Rules.allowlisted Diagnostic.RX011 "lib/server/daemon.ml");
   Alcotest.(check bool) "the CLI test client may call Unix.read" true
     (Rules.allowlisted Diagnostic.RX011 "test/cli/serve_client.ml");

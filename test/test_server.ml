@@ -836,6 +836,99 @@ let test_daemon_io_timeout () =
   Alcotest.(check bool) "io timeout counted" true
     (hardening_counter stats [ "io_timeouts" ] >= 1)
 
+let test_daemon_stalled_reader () =
+  (* A client that pipelines hot requests and never reads fills its
+     socket. The dispatcher must go on serving everyone else, not wait
+     on that one peer for the whole --io-timeout-ms (default 30 s). *)
+  with_daemon Server.Daemon.default_options @@ fun socket_path ->
+  let stalled = connect_retry socket_path 100 in
+  (* Closed exactly once: the daemon shares this process's fd table. *)
+  let close_stalled =
+    lazy (try Unix.close stalled with Unix.Unix_error _ -> ())
+  in
+  Fun.protect ~finally:(fun () -> Lazy.force close_stalled) @@ fun () ->
+  let line = {|{"route":"optimize","id":1,"params":{"rho":3}}|} ^ "\n" in
+  let payload = String.concat "" (List.init 20_000 (fun _ -> line)) in
+  (* Write without blocking until the socket stays full for half a
+     second (or the payload runs out). *)
+  Unix.set_nonblock stalled;
+  let rec fill off =
+    match
+      Unix.write_substring stalled payload off (String.length payload - off)
+    with
+    | n -> if off + n < String.length payload then fill (off + n) else off + n
+    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> (
+        match Unix.select [] [ stalled ] [] 0.5 with
+        | [], _, _ -> off
+        | _ :: _, _, _ -> fill off)
+  in
+  let written = fill 0 in
+  Alcotest.(check bool) "stalled client pipelined >= 4000 lines" true
+    (written >= 4000 * String.length line);
+  with_client socket_path (fun fd ->
+      write_all fd ({|{"route":"health","id":2}|} ^ "\n");
+      match Unix.select [ fd ] [] [] 2.0 with
+      | [], _, _ -> Alcotest.fail "health waited on the stalled reader"
+      | _ :: _, _, _ ->
+          let health =
+            expect_ok "health" (Server.Json.decode (read_line_fd fd))
+          in
+          Alcotest.(check (option int)) "health answered" (Some 2)
+            (response_id health));
+  Lazy.force close_stalled;
+  with_client socket_path @@ fun fd ->
+  let stats = rpc fd {|{"route":"stats","id":3}|} in
+  Alcotest.(check (option string))
+    "stats answers after the stalled client left" (Some "ok")
+    (Option.bind (Server.Json.member "status" stats) Server.Json.to_string_opt)
+
+let test_daemon_write_timeout () =
+  (* A client that never reads is dropped once its oldest unwritten
+     answer is older than --io-timeout-ms: the drop counts as an I/O
+     timeout, the unwritten answers as failed requests. *)
+  let options = { Server.Daemon.default_options with io_timeout_ms = 200 } in
+  with_daemon options @@ fun socket_path ->
+  let stalled = connect_retry socket_path 100 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close stalled with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  let line = {|{"route":"optimize","id":1,"params":{"rho":3}}|} ^ "\n" in
+  (* ~50 KB of requests fit in the socket; ~2 MB of answers do not. *)
+  write_all stalled (String.concat "" (List.init 1000 (fun _ -> line)));
+  let counters () =
+    with_client socket_path @@ fun fd ->
+    let stats = rpc fd {|{"route":"stats","id":2}|} in
+    match
+      Option.bind (Server.Json.member "result" stats) (fun r ->
+          Option.bind (Server.Json.member "errors" r) Server.Json.to_int_opt)
+    with
+    | Some errors -> (hardening_counter stats [ "io_timeouts" ], errors)
+    | None -> Alcotest.fail "stats lacks errors"
+  in
+  let rec await tries =
+    let timeouts, errors = counters () in
+    if timeouts >= 1 then errors
+    else if tries = 0 then Alcotest.fail "stalled reader never dropped"
+    else begin
+      Unix.sleepf 0.1;
+      await (tries - 1)
+    end
+  in
+  Alcotest.(check bool) "unwritten answers recorded as failed" true
+    (await 50 > 0);
+  (* The dropped peer reads what was written, then EOF (or a reset). *)
+  let chunk = Bytes.create 65536 in
+  let rec to_eof () =
+    match Unix.select [ stalled ] [] [] 5.0 with
+    | [], _, _ -> Alcotest.fail "dropped connection never closed"
+    | _ :: _, _, _ -> (
+        match Unix.read stalled chunk 0 (Bytes.length chunk) with
+        | 0 -> ()
+        | _ -> to_eof ()
+        | exception Unix.Unix_error (ECONNRESET, _, _) -> ())
+  in
+  to_eof ()
+
 let test_daemon_drain_burst () =
   (* Shutdown-vs-inflight race: a burst accepted just before [stop]
      must be answered in full by the drain, including requests still
@@ -1191,5 +1284,9 @@ let () =
           Alcotest.test_case "stale socket" `Quick test_daemon_stale_socket;
           Alcotest.test_case "health counters" `Quick
             test_daemon_health_hardening;
+          Alcotest.test_case "stalled reader delays no one" `Quick
+            test_daemon_stalled_reader;
+          Alcotest.test_case "io timeout drops a stalled reader" `Quick
+            test_daemon_write_timeout;
         ] );
     ]
