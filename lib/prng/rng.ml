@@ -1,17 +1,17 @@
-type t = { gen : Xoshiro256.t }
+type t = Xoshiro256.t
 
-let create ~seed = { gen = Xoshiro256.of_seed (Int64.of_int seed) }
+let create ~seed = Xoshiro256.of_seed (Int64.of_int seed)
 
 let split t n =
   if n < 0 then invalid_arg "Rng.split: negative count";
   Array.init n (fun _ ->
-      let child = Xoshiro256.copy t.gen in
-      Xoshiro256.jump t.gen;
-      { gen = child })
+      let child = Xoshiro256.copy t in
+      Xoshiro256.jump t;
+      child)
 
 (* Top 53 bits scaled by 2^-53: the standard unbiased (0,1) mapping. *)
 let float t =
-  let bits = Int64.shift_right_logical (Xoshiro256.next t.gen) 11 in
+  let bits = Int64.shift_right_logical (Xoshiro256.next t) 11 in
   Int64.to_float bits *. 0x1.0p-53
 
 let uniform t ~lo ~hi =
@@ -48,7 +48,7 @@ let int t ~bound =
     if r = 0L then Int64.max_int else Int64.sub Int64.max_int r
   in
   let rec draw () =
-    let raw = Int64.shift_right_logical (Xoshiro256.next t.gen) 1 in
+    let raw = Int64.shift_right_logical (Xoshiro256.next t) 1 in
     if r <> 0L && raw > limit then draw ()
     else Int64.to_int (Int64.rem raw bound64)
   in

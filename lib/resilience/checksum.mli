@@ -10,6 +10,12 @@
 val string : string -> int64
 (** FNV-1a 64-bit hash of a byte string. *)
 
+val sub : string -> pos:int -> len:int -> int64
+(** FNV-1a 64-bit hash of the [len] bytes of a string at [pos], without
+    copying them out; [string s] is [sub s ~pos:0 ~len:(String.length s)].
+    The fold allocates nothing per byte.
+    @raise Invalid_argument if the range is not within the string. *)
+
 val to_hex : int64 -> string
 (** Fixed-width (16 character) lowercase hex rendering. *)
 

@@ -34,8 +34,8 @@ let attempt ~trace ~(model : Core.Mixed.t) ~machine ~rng ~fail_process
   let verify_time = model.v /. speed in
   let exposure = compute_time +. verify_time in
   (* Paper-phase spans mirror the [Trace] segments one-to-one; the
-     tracer gates them on the ambient (sampled) replication, so the
-     unsampled hot path pays one atomic load per call. *)
+     tracer gates them on the ambient (sampled) replication, so while
+     no sampled replication is running each call is one atomic load. *)
   let rec segment i =
     match Fault.strikes_within fail_process rng ~duration:exposure with
     | Some elapsed ->

@@ -88,37 +88,57 @@ let new_region () =
 
 (* The ambient task of the current domain: set for the dynamic extent
    of [with_task], read by the paper-phase emitters so simulator code
-   never has to thread span ids explicitly. *)
-type ambient = { id : int; sampled : bool }
+   never has to thread span ids explicitly. Each domain allocates its
+   record once; entering and leaving a task only writes its fields. *)
+type ambient = { mutable in_task : bool; mutable id : int; mutable sampled : bool }
 
-let ambient : ambient option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
+let ambient : ambient Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> { in_task = false; id = 0; sampled = false })
+
+(* Sampled tasks running now, on any domain. While there are none, no
+   phase event can be recorded, so the emitters stop at this one
+   atomic load instead of looking up their domain's ambient task. *)
+let sampled_tasks = Atomic.make 0
 
 let with_task ~index f =
   match Atomic.get current with
   | None -> f ()
-  | Some session -> (
-      let slot = Domain.DLS.get ambient in
-      match !slot with
-      | Some _ -> f () (* nested region: the enclosing task's span stands *)
-      | None ->
-          (* Sampling gates the task span itself, not just the phase
-             events inside it: an unsampled task pays only this ambient
-             write, which is what keeps the traced hot path within the
-             bench's overhead budget at 10^4-10^5 tasks per region. *)
-          let sampled = index mod session.sample_every = 0 in
-          slot := Some { id = index; sampled };
-          if sampled then (
-            let label = Span.category_name Span.Pool_task in
-            push session ~kind:Store.B ~id:index ~category:Span.Pool_task
-              ~label ~t:(Clock.now_s ());
-            Fun.protect
-              ~finally:(fun () ->
-                push session ~kind:Store.E ~id:index ~category:Span.Pool_task
-                  ~label ~t:(Clock.now_s ());
-                slot := None)
-              f)
-          else Fun.protect ~finally:(fun () -> slot := None) f)
+  | Some session ->
+      let a = Domain.DLS.get ambient in
+      if a.in_task then f () (* nested region: the enclosing task's span stands *)
+      else begin
+        (* Sampling gates the task span itself, not just the phase
+           events inside it: an unsampled task pays only these field
+           writes, which is what keeps the traced hot path within the
+           bench's overhead budget at 10^4-10^5 tasks per region. *)
+        let sampled = index mod session.sample_every = 0 in
+        a.in_task <- true;
+        a.id <- index;
+        a.sampled <- sampled;
+        if sampled then begin
+          let label = Span.category_name Span.Pool_task in
+          push session ~kind:Store.B ~id:index ~category:Span.Pool_task ~label
+            ~t:(Clock.now_s ());
+          Atomic.incr sampled_tasks;
+          Fun.protect
+            ~finally:(fun () ->
+              Atomic.decr sampled_tasks;
+              push session ~kind:Store.E ~id:index ~category:Span.Pool_task
+                ~label ~t:(Clock.now_s ());
+              a.in_task <- false)
+            f
+        end
+        else
+          (* [Fun.protect] inlined: no closure per unsampled task. *)
+          match f () with
+          | v ->
+              a.in_task <- false;
+              v
+          | exception e ->
+              let bt = Printexc.get_raw_backtrace () in
+              a.in_task <- false;
+              Printexc.raise_with_backtrace e bt
+      end
 
 let with_span ~id ?label category f =
   match Atomic.get current with
@@ -134,15 +154,15 @@ let with_span ~id ?label category f =
         f
 
 let phase_event kind category =
-  match Atomic.get current with
-  | None -> ()
-  | Some session -> (
-      match !(Domain.DLS.get ambient) with
-      | Some { id; sampled = true } ->
-          push session ~kind ~id ~category
+  if Atomic.get sampled_tasks > 0 then
+    match Atomic.get current with
+    | None -> ()
+    | Some session ->
+        let a = Domain.DLS.get ambient in
+        if a.in_task && a.sampled then
+          push session ~kind ~id:a.id ~category
             ~label:(Span.category_name category)
             ~t:(Clock.now_s ())
-      | Some { sampled = false; _ } | None -> ())
 
 let phase_begin category = phase_event Store.B category
 let phase_end category = phase_event Store.E category

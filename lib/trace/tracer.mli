@@ -5,7 +5,8 @@
     and [finish] disarms it and returns the collected events for
     export. When no session is active every emission call is a single
     atomic load and a branch, so instrumentation can stay compiled in
-    unconditionally.
+    unconditionally. The paper-phase emitters stay that cheap inside a
+    session too, for as long as no sampled task is running.
 
     Determinism contract: span identities ([epoch], [id], category,
     label) derive only from task indices and request ordinals — never
@@ -45,8 +46,9 @@ val with_task : index:int -> (unit -> 'a) -> 'a
 (** Record a {!Span.Pool_task} span around one task execution and make
     [index] the ambient span id for nested emission. The span is
     emitted only for sampled tasks ([index mod sample_every = 0]);
-    unsampled tasks pay a single ambient-flag write and emit nothing,
-    which bounds tracing overhead on hot paths with many tasks.
+    an unsampled task pays one lookup of its domain's ambient record
+    and a few writes to it, allocates nothing and emits nothing, which
+    bounds tracing overhead on hot paths with many tasks.
     Inside an enclosing task (nested pool regions degrade to
     sequential) it is transparent: the enclosing task's ambient id
     stays in effect. *)
@@ -58,7 +60,9 @@ val with_span : id:int -> ?label:string -> Span.category -> (unit -> 'a) -> 'a
 val phase_begin : Span.category -> unit
 (** Open a paper-phase span attributed to the ambient task. A no-op
     without an active session, outside a task, or in an unsampled
-    task. Must be balanced by {!phase_end} of the same category. *)
+    task; while no sampled task runs on any domain, it costs one
+    atomic load. Must be balanced by {!phase_end} of the same
+    category. *)
 
 val phase_end : Span.category -> unit
 (** Close the innermost open paper-phase span of this category. *)

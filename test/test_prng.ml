@@ -93,6 +93,50 @@ let test_xoshiro_jump () =
   check_bool "second jump differs" true
     (Prng.Xoshiro256.next b <> Prng.Xoshiro256.next c)
 
+(* Known-answer vectors: a rewrite that shifts any stream, or every
+   replica's stream, fails here even if the streams stay distinct. *)
+let test_xoshiro_reference_outputs () =
+  (* The reference implementation's outputs from state (1, 2, 3, 4);
+     the first is rotl (2 * 5, 7) * 9 = 11520. *)
+  let g = Prng.Xoshiro256.of_state (1L, 2L, 3L, 4L) in
+  List.iteri
+    (fun i expected ->
+      check_int64 (Printf.sprintf "next %d" i) expected (Prng.Xoshiro256.next g))
+    [ 11520L; 0L; 1509978240L; 1215971899390074240L ]
+
+let test_xoshiro_jump_vector () =
+  let g = Prng.Xoshiro256.of_state (1L, 2L, 3L, 4L) in
+  Prng.Xoshiro256.jump g;
+  let s0, s1, s2, s3 = Prng.Xoshiro256.state g in
+  check_int64 "s0" 0x8c7a153956b5f3d1L s0;
+  check_int64 "s1" 0x701f1a713401d85eL s1;
+  check_int64 "s2" 0x6527f66a65469085L s2;
+  check_int64 "s3" 0x8386b786c4408050L s3
+
+let test_xoshiro_jump_allocates_nothing () =
+  let g = Prng.Xoshiro256.of_seed 5L in
+  Prng.Xoshiro256.jump g;
+  Alcotest.(check (float 0.)) "words for 1000 jumps" 0.
+    (Testutil.minor_words (fun () ->
+         for _ = 1 to 1000 do
+           Prng.Xoshiro256.jump g
+         done))
+
+let test_split_replica_vectors () =
+  (* Each replica's first draw, compared bit for bit. *)
+  let replicas = Prng.Rng.split (Prng.Rng.create ~seed:2016) 4096 in
+  List.iter
+    (fun (i, expected) ->
+      check_int64
+        (Printf.sprintf "replica %d first float" i)
+        (Int64.bits_of_float expected)
+        (Int64.bits_of_float (Prng.Rng.float replicas.(i))))
+    [
+      (0, 0x1.3c1c4cf98965p-3);
+      (1, 0x1.048d590e06a7p-1);
+      (4095, 0x1.d87b3864e30dp-4);
+    ]
+
 let test_xoshiro_copy_independence () =
   let a = Prng.Xoshiro256.of_seed 6L in
   let b = Prng.Xoshiro256.copy a in
@@ -294,6 +338,11 @@ let () =
           Alcotest.test_case "state roundtrip" `Quick
             test_xoshiro_state_roundtrip;
           Alcotest.test_case "jump" `Quick test_xoshiro_jump;
+          Alcotest.test_case "reference outputs" `Quick
+            test_xoshiro_reference_outputs;
+          Alcotest.test_case "jump vector" `Quick test_xoshiro_jump_vector;
+          Alcotest.test_case "jump allocates nothing" `Quick
+            test_xoshiro_jump_allocates_nothing;
           Alcotest.test_case "copy independence" `Quick
             test_xoshiro_copy_independence;
         ] );
@@ -309,6 +358,8 @@ let () =
           Alcotest.test_case "int" `Slow test_int;
           Alcotest.test_case "pick" `Quick test_pick;
           Alcotest.test_case "split" `Quick test_split;
+          Alcotest.test_case "split replica vectors" `Quick
+            test_split_replica_vectors;
           Alcotest.test_case "uniformity chi-square" `Slow
             test_float_uniformity_chi_square;
           Alcotest.test_case "exponential chi-square" `Slow

@@ -37,6 +37,24 @@ let test_checksum_vectors () =
     "one-bit inputs diverge" false
     (Resilience.Checksum.string "journal\x00" = Resilience.Checksum.string "journal\x01")
 
+let test_checksum_fold_allocation () =
+  (* The fold runs unboxed: a long input costs no more words than a
+     short one (just the boxed result). *)
+  let words s =
+    Testutil.minor_words (fun () -> ignore (Resilience.Checksum.string s))
+  in
+  let short = words "x" and long = words (String.make 10_000 'x') in
+  Alcotest.(check bool)
+    (Printf.sprintf "10 kB costs %.0f words, 1 byte %.0f" long short)
+    true
+    (long <= short && short <= 8.);
+  Alcotest.(check int64) "sub agrees with string"
+    (Resilience.Checksum.string "journal")
+    (Resilience.Checksum.sub "a journal line" ~pos:2 ~len:7);
+  Alcotest.check_raises "sub outside the string"
+    (Invalid_argument "Checksum.sub") (fun () ->
+      ignore (Resilience.Checksum.sub "abc" ~pos:2 ~len:2))
+
 (* ------------------------------------------------------------------ *)
 (* Journal                                                             *)
 
@@ -489,6 +507,16 @@ let test_journal_header_and_hex () =
   Alcotest.(check (option string))
     "odd-length rejected" None
     (Resilience.Journal.hex_decode "abc");
+  let every_byte = String.init 256 Char.chr in
+  Alcotest.(check (option string))
+    "all 256 byte values round-trip" (Some every_byte)
+    (Resilience.Journal.hex_decode (Resilience.Journal.hex_encode every_byte));
+  Alcotest.(check (option string))
+    "upper-case hex accepted" (Some "\xab\xcd\xef")
+    (Resilience.Journal.hex_decode "ABcDeF");
+  Alcotest.(check (option string))
+    "non-hex digit rejected" None
+    (Resilience.Journal.hex_decode "0g");
   let path = temp_path () in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
   write_journal ~path ~description:"header" 1;
@@ -496,11 +524,46 @@ let test_journal_header_and_hex () =
   Alcotest.(check string) "header is Journal.magic" Resilience.Journal.magic
     first_line
 
+(* The on-disk bytes of a small journal, pinned: the codec may change,
+   the file may not, so journals written by any version resume. *)
+let golden_journal =
+  "rexspeed-journal v1\n\
+   H 676f6c64656e 5bcc89f9a674e3df\n\
+   R 0 00ff 2a7a6dd533a9f7d7\n\
+   R 1 6162 9815f7657f4754ff\n"
+
+let test_journal_golden_bytes () =
+  let path = temp_path () in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let w =
+    expect_ok "create"
+      (Resilience.Journal.create ~sync:false ~path ~description:"golden" ())
+  in
+  Resilience.Journal.append w ~index:0 ~payload:"\x00\xff";
+  Resilience.Journal.append w ~index:1 ~payload:"ab";
+  Resilience.Journal.close w;
+  Alcotest.(check string) "file bytes" golden_journal (read_file path);
+  write_file path golden_journal;
+  let r =
+    expect_ok "read"
+      (Resilience.Journal.read ~path ~description:"golden" ~slots:2)
+  in
+  Alcotest.(check (array (option string)))
+    "payloads recovered" [| Some "\x00\xff"; Some "ab" |]
+    r.Resilience.Journal.payloads;
+  Alcotest.(check bool) "nothing dropped" false r.Resilience.Journal.dropped;
+  Alcotest.(check int) "whole file verified" (String.length golden_journal)
+    r.Resilience.Journal.valid_bytes
+
 let () =
   Alcotest.run "resilience"
     [
       ( "checksum",
-        [ Alcotest.test_case "FNV-1a vectors" `Quick test_checksum_vectors ] );
+        [
+          Alcotest.test_case "FNV-1a vectors" `Quick test_checksum_vectors;
+          Alcotest.test_case "fold allocation" `Quick
+            test_checksum_fold_allocation;
+        ] );
       ( "journal",
         [
           Alcotest.test_case "roundtrip" `Quick test_journal_roundtrip;
@@ -512,6 +575,7 @@ let () =
           Alcotest.test_case "bad magic" `Quick test_journal_bad_magic;
           Alcotest.test_case "header and hex codec" `Quick
             test_journal_header_and_hex;
+          Alcotest.test_case "golden bytes" `Quick test_journal_golden_bytes;
         ] );
       ( "chaos",
         [

@@ -102,6 +102,26 @@ let test_sampling () =
   Alcotest.(check int) "counters still count every task" n
     (List.assoc Tracing.Span.Cache_hits dump.Tracing.Tracer.counters)
 
+let test_unsampled_task_allocates_nothing () =
+  (* An unsampled task and the phase events inside it are the traced
+     hot path: no allocation, no emission. *)
+  let body () =
+    Tracing.Tracer.phase_begin Tracing.Span.Work;
+    Tracing.Tracer.phase_end Tracing.Span.Work
+  in
+  let run () = Tracing.Tracer.with_task ~index:1 body in
+  let words, dump =
+    traced ~sample_every:4 (fun () ->
+        run ();
+        Testutil.minor_words (fun () ->
+            for _ = 1 to 1000 do
+              run ()
+            done))
+  in
+  Alcotest.(check (float 0.)) "words for 1000 unsampled tasks" 0. words;
+  Alcotest.(check int) "nothing emitted" 0
+    (List.length (Tracing.Export.spans_of dump))
+
 (* ------------------------------------------------------------------ *)
 (* Chrome trace_event JSON shape                                       *)
 (* ------------------------------------------------------------------ *)
@@ -295,6 +315,8 @@ let () =
           Alcotest.test_case "lifecycle" `Quick test_lifecycle;
           Alcotest.test_case "balance and counters" `Quick test_balance;
           Alcotest.test_case "phase sampling" `Quick test_sampling;
+          Alcotest.test_case "unsampled task allocates nothing" `Quick
+            test_unsampled_task_allocates_nothing;
         ] );
       ( "export",
         [

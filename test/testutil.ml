@@ -87,3 +87,9 @@ let arb_mixed_pattern =
 let qcheck test =
   (* rexspeed-lint: allow RX001 fixed seed is what makes qcheck deterministic *)
   QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5EED |]) test
+
+(* Words [f ()] allocates on the minor heap of the calling domain. *)
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
