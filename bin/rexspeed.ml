@@ -108,9 +108,24 @@ let config_arg =
     & opt config_conv (Option.get (Platforms.Config.find "hera/xscale"))
     & info [ "c"; "config" ] ~docv:"PLATFORM/PROCESSOR" ~doc)
 
+(* A bound the solver can take: finite and > 0, as the daemon's
+   protocol requires. Anything else is a usage error naming --rho. *)
+let rho_conv =
+  let parse s =
+    match Arg.conv_parser Arg.float s with
+    | Ok rho when Float.is_finite rho && rho > 0. -> Ok rho
+    | Ok _ ->
+        Error (`Msg (Printf.sprintf "%S is not a finite positive number" s))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.float)
+
 let rho_arg =
-  let doc = "Performance bound rho (admissible time-overhead factor)." in
-  Arg.(value & opt float 3. & info [ "rho" ] ~docv:"RHO" ~doc)
+  let doc =
+    "Performance bound rho (admissible time-overhead factor): a finite \
+     number > 0."
+  in
+  Arg.(value & opt rho_conv 3. & info [ "rho" ] ~docv:"RHO" ~doc)
 
 let points_arg =
   let doc = "Number of samples along the sweep axis." in

@@ -5,57 +5,63 @@ type result = {
   candidates : Optimum.solution list;
 }
 
-let pairs_of_mode mode env =
-  match mode with
-  | Two_speeds -> Env.speed_pairs env
-  | Single_speed ->
-      Array.to_list (Array.map (fun s -> (s, s)) env.Env.speeds)
-
 (* Below this many speed pairs a solve is too cheap to amortize a
    parallel region; the paper's ladders (K <= 6, K^2 <= 36) always
    stay sequential, large custom DVFS ladders fan out. *)
 let parallel_pair_threshold = 128
 
+let check_rho name rho =
+  if not (Float.is_finite rho && rho > 0.) then
+    invalid_arg (name ^ ": rho must be positive and finite")
+
+let best_of candidates =
+  Numerics.Minimize.argmin_by
+    (fun (s : Optimum.solution) -> s.energy_overhead)
+    candidates
+
 let solve ?(mode = Two_speeds) ?pool ?journal ?on_resume (env : Env.t) ~rho =
-  if rho <= 0. then invalid_arg "Bicrit.solve: rho must be positive";
-  let pairs = Array.of_list (pairs_of_mode mode env) in
+  check_rho "Bicrit.solve" rho;
+  let speeds = env.speeds in
+  let k = Array.length speeds in
+  let slots = match mode with Two_speeds -> k * k | Single_speed -> k in
   let pool =
     (* A journaled solve always goes through the checkpointing path,
        even below the parallel threshold — crash safety is requested
        explicitly and is worth more than the region overhead. *)
-    if journal = None && Array.length pairs < parallel_pair_threshold then
+    if journal = None && slots < parallel_pair_threshold then
       Some Parallel.Pool.sequential
     else pool
   in
-  let candidates =
-    Resilience.Checkpointed.init_array ?pool ?journal ?on_resume
-      (Array.length pairs)
+  (* Slot i is the i-th pair of [Env.speed_pairs] (first speed major),
+     or the i-th diagonal pair in single-speed mode. *)
+  let solved =
+    Resilience.Checkpointed.init_array ?pool ?journal ?on_resume slots
       (fun i ->
-        let sigma1, sigma2 = pairs.(i) in
-        Optimum.solve_pair env.params env.power ~rho ~sigma1 ~sigma2)
-    |> Array.to_list
-    |> List.filter_map Fun.id
+        let i1, i2 =
+          match mode with
+          | Two_speeds -> (i / k, i mod k)
+          | Single_speed -> (i, i)
+        in
+        Optimum.solve_pair env.params env.power ~rho ~sigma1:speeds.(i1)
+          ~sigma2:speeds.(i2))
   in
-  let best =
-    Numerics.Minimize.argmin_by
-      (fun (s : Optimum.solution) -> s.energy_overhead)
-      candidates
+  let candidates =
+    Array.fold_right
+      (fun s rest -> match s with Some s -> s :: rest | None -> rest)
+      solved []
   in
-  match best with
+  match best_of candidates with
   | None -> None
   | Some (best, _) -> Some { best; candidates }
 
 let best_second_speed (env : Env.t) ~rho ~sigma1 =
-  if rho <= 0. then invalid_arg "Bicrit.best_second_speed: rho must be positive";
+  check_rho "Bicrit.best_second_speed" rho;
   let candidates =
     Array.to_list env.speeds
     |> List.filter_map (fun sigma2 ->
            Optimum.solve_pair env.params env.power ~rho ~sigma1 ~sigma2)
   in
-  Option.map fst
-    (Numerics.Minimize.argmin_by
-       (fun (s : Optimum.solution) -> s.energy_overhead)
-       candidates)
+  Option.map fst (best_of candidates)
 
 let min_feasible_rho (env : Env.t) =
   Env.speed_pairs env

@@ -40,13 +40,14 @@ val solve :
     are persisted and a resumed solve recomputes only the missing ones
     (see {!Resilience.Checkpointed.init_array}, which also documents
     [on_resume]).
-    @raise Invalid_argument if [rho <= 0.]. *)
+    @raise Invalid_argument if [rho] is not a finite number [> 0.]. *)
 
 val best_second_speed :
   Env.t -> rho:float -> sigma1:float -> Optimum.solution option
 (** For a fixed first speed, the best feasible re-execution speed — one
     row of the Section 4.2 tables. [None] when no second speed is
-    feasible for this [sigma1]. *)
+    feasible for this [sigma1].
+    @raise Invalid_argument if [rho] is not a finite number [> 0.]. *)
 
 val min_feasible_rho : Env.t -> float
 (** The smallest performance bound any speed pair can meet:

@@ -24,6 +24,11 @@ val window :
     unattainable for this speed pair. A tangent (double-root) contact
     yields a degenerate window with [w_min = w_max]. *)
 
+val window_of_time : First_order.overhead -> rho:float -> window option
+(** [window_of_time (First_order.time p ~sigma1 ~sigma2) ~rho] is
+    [window p ~rho ~sigma1 ~sigma2], bit for bit, for a caller that has
+    already computed the time overhead (Equation 2) of the pair. *)
+
 val rho_min : Params.t -> sigma1:float -> sigma2:float -> float
 (** Equation (6): the minimum performance bound
     [rho_(i,j) = 1/s_i + 2 sqrt ((C + V/s_i) l/(s_i s_j))

@@ -12,14 +12,19 @@ type solution = {
 let w_energy p pw ~sigma1 ~sigma2 =
   First_order.unconstrained_minimizer (First_order.energy p pw ~sigma1 ~sigma2)
 
+(* Each overhead is computed once and feeds everything derived from
+   it: the time overhead the window and the time evaluation, the
+   energy overhead We and the energy evaluation. Same expressions in
+   the same order as [Feasibility.window] and [w_energy], so the same
+   bits. *)
 let solve_pair p pw ~rho ~sigma1 ~sigma2 =
-  match Feasibility.window p ~rho ~sigma1 ~sigma2 with
+  let time = First_order.time p ~sigma1 ~sigma2 in
+  match Feasibility.window_of_time time ~rho with
   | None -> None
   | Some window ->
-      let we = w_energy p pw ~sigma1 ~sigma2 in
-      let w_opt = Feasibility.clamp window we in
       let energy = First_order.energy p pw ~sigma1 ~sigma2 in
-      let time = First_order.time p ~sigma1 ~sigma2 in
+      let we = First_order.unconstrained_minimizer energy in
+      let w_opt = Feasibility.clamp window we in
       Some
         {
           sigma1;

@@ -70,17 +70,20 @@ let default_max_attempts = 10
 let max_attempts_override = Atomic.make 0
 let set_max_attempts n = Atomic.set max_attempts_override (Int.max 1 n)
 
+(* Read once, at start-up: the solver opens thousands of regions a
+   second, and a [getenv] costs more than a small region. *)
+let env_max_attempts =
+  match Sys.getenv_opt retries_env_var with
+  | None -> default_max_attempts
+  | Some s -> begin
+      match int_of_string_opt (String.trim s) with
+      | Some n when n >= 1 -> n
+      | Some _ | None -> default_max_attempts
+    end
+
 let max_attempts () =
   let n = Atomic.get max_attempts_override in
-  if n >= 1 then n
-  else
-    match Sys.getenv_opt retries_env_var with
-    | None -> default_max_attempts
-    | Some s -> begin
-        match int_of_string_opt (String.trim s) with
-        | Some n when n >= 1 -> n
-        | Some _ | None -> default_max_attempts
-      end
+  if n >= 1 then n else env_max_attempts
 
 let fault_injector : (index:int -> attempt:int -> bool) option Atomic.t =
   Atomic.make None
@@ -108,57 +111,8 @@ let max_recovery_rounds = 8
 let restarts = Atomic.make 0
 let worker_restarts () = Atomic.get restarts
 
-(* One task with bounded retries. [f] must be restartable: pure per
-   item, or failing before it mutates any state it owns. The injector
-   fires {e before} [f] is entered, so injected faults always satisfy
-   that contract regardless of what [f] does. *)
-let run_item ~attempts ~round f i =
-  (match Atomic.get domain_fault_injector with
-  | Some kill when kill ~index:i ~round ->
-      raise (Worker_crash { index = i; round })
-  | Some _ | None -> ());
-  Tracing.Tracer.with_task ~index:i @@ fun () ->
-  let attempt_once attempt =
-    (match Atomic.get fault_injector with
-    | Some inject when inject ~index:i ~attempt ->
-        raise (Injected_fault { index = i; attempt })
-    | Some _ | None -> ());
-    f i
-  in
-  let first_attempt () = attempt_once 1 in
-  (* Retries are rare by construction, so each one affords a span of
-     its own on top of the counter bump. *)
-  let retry_attempt attempt =
-    Tracing.Tracer.count Tracing.Span.Retries;
-    Tracing.Tracer.with_span ~id:i Tracing.Span.Pool_retry (fun () ->
-        attempt_once attempt)
-  in
-  let rec go attempt =
-    match if attempt = 1 then first_attempt () else retry_attempt attempt with
-    | v -> Ok v
-    | exception ((Out_of_memory | Stack_overflow | Worker_crash _) as e) ->
-        raise e
-    | exception e ->
-        if attempt >= attempts then
-          Error { index = i; attempts = attempt; error = Printexc.to_string e }
-        else go (attempt + 1)
-  in
-  go 1
-
-(* Failed slots stay [None]; the region still completes every other
-   task so the report lists all exhausted tasks, not just the first. *)
-let finalize results failures =
-  match failures with
-  | [] ->
-      Array.map
-        (function Some v -> v | None -> assert false (* no failure *))
-        results
-  | _ :: _ ->
-      raise
-        (Tasks_failed
-           (List.sort (fun a b -> Int.compare a.index b.index) failures))
-
 (* ------------------------------------------------------------------ *)
+(* Regions                                                             *)
 
 (* True while this domain executes inside a parallel region — both in
    spawned workers and in the caller while it participates. Any pool
@@ -166,6 +120,119 @@ let finalize results failures =
    (sweep cells invoking the solver, solvers invoking numerics) can
    all be pool-aware without ever nesting domains. *)
 let in_region = Domain.DLS.new_key (fun () -> false)
+
+(* One region's state, shared by its workers: each slot is written
+   only by the worker that runs its task, and the failure list is
+   pushed lock-free. Everything below is a top-level function over it,
+   so a fault-free region allocates this record, its result slots and
+   a few words per pass, not a closure per task. *)
+type 'a region = {
+  f : int -> 'a;
+  attempts : int;
+  results : 'a option array;
+  failures : failure list Atomic.t;
+}
+
+let rec push failures failure =
+  let old = Atomic.get failures in
+  if not (Atomic.compare_and_set failures old (failure :: old)) then
+    push failures failure
+
+(* [f] must be restartable: pure per item, or failing before it
+   mutates any state it owns. The injector fires {e before} [f] is
+   entered, so injected faults always satisfy that contract regardless
+   of what [f] does. *)
+let attempt_once f i attempt =
+  (match Atomic.get fault_injector with
+  | Some inject when inject ~index:i ~attempt ->
+      raise (Injected_fault { index = i; attempt })
+  | Some _ | None -> ());
+  f i
+
+(* Retries are rare by construction, so each one affords a span of its
+   own on top of the counter bump. *)
+let retry_attempt f i attempt =
+  Tracing.Tracer.count Tracing.Span.Retries;
+  Tracing.Tracer.with_span ~id:i Tracing.Span.Pool_retry (fun () ->
+      attempt_once f i attempt)
+
+(* Task [i] from [attempt] on, with bounded retries; the outcome lands
+   in its slot or in the failure list. *)
+let rec attempt_from r i attempt =
+  match
+    if attempt = 1 then attempt_once r.f i 1 else retry_attempt r.f i attempt
+  with
+  | v -> r.results.(i) <- Some v
+  | exception ((Out_of_memory | Stack_overflow | Worker_crash _) as e) ->
+      raise e
+  | exception e ->
+      if attempt >= r.attempts then
+        push r.failures
+          { index = i; attempts = attempt; error = Printexc.to_string e }
+      else attempt_from r i (attempt + 1)
+
+let run_item r ~round i =
+  (match Atomic.get domain_fault_injector with
+  | Some kill when kill ~index:i ~round ->
+      raise (Worker_crash { index = i; round })
+  | Some _ | None -> ());
+  (* Untraced, [with_task] would only call its argument: skip the
+     closure. *)
+  if Tracing.Tracer.enabled () then
+    Tracing.Tracer.with_task ~index:i (fun () -> attempt_from r i 1)
+  else attempt_from r i 1
+
+(* One worker's share of a pass: claim chunks of the [m] positions of
+   [todo] (every slot, in order, when [None]) until none is left. A
+   crash abandons the unstarted remainder of the claimed chunk. *)
+let rec claim r ~round ~chunk ~next ~crashed todo m =
+  let start = Atomic.fetch_and_add next chunk in
+  if start < m then begin
+    (try
+       for k = start to Int.min m (start + chunk) - 1 do
+         run_item r ~round (match todo with None -> k | Some t -> t.(k))
+       done
+     with Worker_crash _ -> Atomic.incr crashed);
+    claim r ~round ~chunk ~next ~crashed todo m
+  end
+
+(* One scheduling pass over [todo]; returns how many workers died (and
+   were immediately replaced) mid-pass. A crash abandons the unstarted
+   remainder of the dying worker's claimed chunk — those slots wait
+   for the next recovery round — but the replacement worker resumes
+   claiming fresh chunks at once, so a pass always drives every chunk
+   to either completion or abandonment no matter how many workers die
+   along the way. *)
+let round_pass r ~extra_workers ~round ~chunk todo =
+  let m =
+    match todo with None -> Array.length r.results | Some t -> Array.length t
+  in
+  let next = Atomic.make 0 and crashed = Atomic.make 0 in
+  (* Never spawn more workers than there are spare tasks. *)
+  let spare = Int.max 0 (Int.min extra_workers (m - 1)) in
+  let workers =
+    if spare = 0 then [||]
+    else
+      Array.init spare (fun _ ->
+          Domain.spawn (fun () ->
+              Domain.DLS.set in_region true;
+              claim r ~round ~chunk ~next ~crashed todo m))
+  in
+  claim r ~round ~chunk ~next ~crashed todo m;
+  Array.iter Domain.join workers;
+  Atomic.get crashed
+
+(* Slots neither computed nor recorded as failed, in index order. *)
+let unfinished r =
+  let n = Array.length r.results in
+  let failed = Array.make n false in
+  List.iter (fun fl -> failed.(fl.index) <- true) (Atomic.get r.failures);
+  let missing = ref [] in
+  for i = n - 1 downto 0 do
+    if Option.is_none r.results.(i) && not failed.(i) then
+      missing := i :: !missing
+  done;
+  Array.of_list !missing
 
 (* Supervised execution: schedule passes over a shrinking set of
    unfinished task indices until every slot is either computed or
@@ -179,110 +246,72 @@ let in_region = Domain.DLS.new_key (fun () -> false)
    domain, singleton batches); crashes there follow the exact same
    recovery rounds, keeping faulted runs identical across domain
    counts. *)
+let rec supervise r ~extra_workers ~chunk ~round todo =
+  (* Recovery rounds claim one task at a time: a crash mid-chunk
+     abandons every unstarted task in that chunk, so with the
+     first-round chunking a kill-heavy region could shed tasks faster
+     than [max_recovery_rounds] passes reclaim them. Single-task
+     claims make a repeated crash abandon only itself, which converges
+     unless one index dies in every round. *)
+  let crashed =
+    round_pass r ~extra_workers ~round
+      ~chunk:(if round = 0 then chunk else 1)
+      todo
+  in
+  (* A pass in which no worker died finished every slot it was given,
+     so only a pass with deaths needs the scan. *)
+  let left = if crashed = 0 then [||] else unfinished r in
+  if Array.length left > 0 then begin
+    ignore (Atomic.fetch_and_add restarts crashed : int);
+    Tracing.Tracer.count ~n:crashed Tracing.Span.Worker_restarts;
+    if round + 1 >= max_recovery_rounds then
+      Array.iter
+        (fun i ->
+          push r.failures
+            {
+              index = i;
+              attempts = r.attempts;
+              error =
+                Printf.sprintf
+                  "worker domain died repeatedly; %d recovery round(s) \
+                   exhausted"
+                  max_recovery_rounds;
+            })
+        left
+    else
+      Tracing.Tracer.with_span ~id:(round + 1) Tracing.Span.Pool_restart
+        (fun () ->
+          supervise r ~extra_workers ~chunk ~round:(round + 1) (Some left))
+  end
+
+(* Failed slots stay [None]; the region still completes every other
+   task so the report lists all exhausted tasks, not just the first. *)
+let finalize r =
+  match Atomic.get r.failures with
+  | [] ->
+      Array.map
+        (function Some v -> v | None -> assert false (* no failure *))
+        r.results
+  | _ :: _ as failures ->
+      raise
+        (Tasks_failed
+           (List.sort (fun a b -> Int.compare a.index b.index) failures))
+
+let run_region r ~extra_workers ~chunk =
+  supervise r ~extra_workers ~chunk ~round:0 None;
+  finalize r
+
 let run_rounds ~extra_workers ~chunk ~attempts n f =
-  let results = Array.make n None in
-  let failed = Array.make n false in
-  let failures = Atomic.make [] in
-  let push failure =
-    failed.(failure.index) <- true;
-    let rec cas () =
-      let old = Atomic.get failures in
-      if not (Atomic.compare_and_set failures old (failure :: old)) then cas ()
-    in
-    cas ()
-  in
-  (* One scheduling pass over [todo]; returns how many workers died
-     (and were immediately replaced) mid-pass. A crash abandons the
-     unstarted remainder of the dying worker's claimed chunk — those
-     slots wait for the next recovery round — but the replacement
-     worker resumes claiming fresh chunks at once, so a pass always
-     drives every chunk to either completion or abandonment no matter
-     how many workers die along the way. *)
-  let round_pass ~round ~chunk todo =
-    let m = Array.length todo in
-    let next = Atomic.make 0 in
-    let crashed = Atomic.make 0 in
-    let work () =
-      let rec claim () =
-        let start = Atomic.fetch_and_add next chunk in
-        if start < m then begin
-          (try
-             for k = start to Int.min m (start + chunk) - 1 do
-               let i = todo.(k) in
-               match run_item ~attempts ~round f i with
-               | Ok v -> results.(i) <- Some v
-               | Error failure -> push failure
-             done
-           with Worker_crash _ -> Atomic.incr crashed);
-          claim ()
-        end
-      in
-      claim ()
-    in
-    let spawn () =
-      Domain.spawn (fun () ->
-          Domain.DLS.set in_region true;
-          work ())
-    in
-    (* Never spawn more workers than there are spare tasks. *)
-    let workers =
-      Array.init (Int.max 0 (Int.min extra_workers (m - 1))) (fun _ -> spawn ())
-    in
-    work ();
-    Array.iter Domain.join workers;
-    Atomic.get crashed
-  in
-  let unfinished () =
-    let missing = ref [] in
-    for i = n - 1 downto 0 do
-      if Option.is_none results.(i) && not failed.(i) then
-        missing := i :: !missing
-    done;
-    Array.of_list !missing
-  in
-  let rec supervise ~round todo =
-    (* Recovery rounds claim one task at a time: a crash mid-chunk
-       abandons every unstarted task in that chunk, so with the
-       first-round chunking a kill-heavy region could shed tasks
-       faster than [max_recovery_rounds] passes reclaim them.
-       Single-task claims make a repeated crash abandon only itself,
-       which converges unless one index dies in every round. *)
-    let chunk = if round = 0 then chunk else 1 in
-    let crashed = round_pass ~round ~chunk todo in
-    let left = unfinished () in
-    if Array.length left > 0 then begin
-      (* An unfinished slot implies at least one dead worker. *)
-      let restarted = Int.max 1 crashed in
-      ignore (Atomic.fetch_and_add restarts restarted : int);
-      Tracing.Tracer.count ~n:restarted Tracing.Span.Worker_restarts;
-      if round + 1 >= max_recovery_rounds then
-        Array.iter
-          (fun i ->
-            push
-              {
-                index = i;
-                attempts;
-                error =
-                  Printf.sprintf
-                    "worker domain died repeatedly; %d recovery round(s) \
-                     exhausted"
-                    max_recovery_rounds;
-              })
-          left
-      else
-        Tracing.Tracer.with_span ~id:(round + 1) Tracing.Span.Pool_restart
-          (fun () -> supervise ~round:(round + 1) left)
-    end
-  in
-  let body () =
-    supervise ~round:0 (Array.init n Fun.id);
-    finalize results (Atomic.get failures)
+  let r =
+    { f; attempts; results = Array.make n None; failures = Atomic.make [] }
   in
   if extra_workers > 0 then begin
     Domain.DLS.set in_region true;
-    Fun.protect ~finally:(fun () -> Domain.DLS.set in_region false) body
+    Fun.protect
+      ~finally:(fun () -> Domain.DLS.set in_region false)
+      (fun () -> run_region r ~extra_workers ~chunk)
   end
-  else body ()
+  else run_region r ~extra_workers ~chunk
 
 let init_array ?chunk ?attempts t n f =
   if n < 0 then invalid_arg "Pool.init_array: negative length";

@@ -114,7 +114,8 @@ exception Worker_crash of { index : int; round : int }
 
 val retries_env_var : string
 (** ["REXSPEED_RETRIES"] — environment override for the per-task
-    attempt bound. *)
+    attempt bound, read once, when the program starts: setting it
+    later has no effect, {!set_max_attempts} does. *)
 
 val default_max_attempts : int
 (** [10]: the attempt bound when neither {!set_max_attempts} nor
@@ -127,8 +128,8 @@ val set_max_attempts : int -> unit
 
 val max_attempts : unit -> int
 (** The attempt bound in force: the {!set_max_attempts} value if set,
-    else {!retries_env_var} if it parses as a positive integer, else
-    {!default_max_attempts}. *)
+    else {!retries_env_var} as read at start-up if it parsed as a
+    positive integer, else {!default_max_attempts}. *)
 
 val set_fault_injector : (index:int -> attempt:int -> bool) option -> unit
 (** Install (or clear, with [None]) the deterministic fault injector.
@@ -172,6 +173,13 @@ val init_array : ?chunk:int -> ?attempts:int -> t -> int -> (int -> 'a) -> 'a ar
     (8 * domains))]) is the number of consecutive indices a worker
     claims at a time; [attempts] (default {!max_attempts}[ ()]) bounds
     the per-task retries.
+
+    A fault-free region allocates its result and a small constant: a
+    result slot per task and a few words per region, no closure or
+    bookkeeping per task. That is what lets a solver open one region per
+    solve over a handful of tasks (a sequential 2-task region allocates
+    about 20 words). Retries, worker deaths and a live trace session
+    cost extra only where they happen.
     @raise Tasks_failed if any task exhausts its attempts.
     @raise Invalid_argument if [n < 0], [chunk < 1] or [attempts < 1]. *)
 

@@ -15,7 +15,7 @@ type dump = {
 let current : session option Atomic.t = Atomic.make None
 let stamps = Atomic.make 0
 
-let enabled () = Atomic.get current <> None
+let enabled () = match Atomic.get current with None -> false | Some _ -> true
 
 let start ?(sample_every = 64) () =
   if sample_every < 1 then
@@ -81,11 +81,6 @@ let push session ~kind ~id ~category ~label ~t =
       t;
     }
 
-let new_region () =
-  match Atomic.get current with
-  | None -> ()
-  | Some session -> Atomic.incr session.epoch
-
 (* The ambient task of the current domain: set for the dynamic extent
    of [with_task], read by the paper-phase emitters so simulator code
    never has to thread span ids explicitly. Each domain allocates its
@@ -94,6 +89,16 @@ type ambient = { mutable in_task : bool; mutable id : int; mutable sampled : boo
 
 let ambient : ambient Domain.DLS.key =
   Domain.DLS.new_key (fun () -> { in_task = false; id = 0; sampled = false })
+
+(* An epoch counts top-level regions only. A region opened inside a
+   task (a sweep cell's solver, run sequentially) keeps the task's
+   epoch. With more than one domain such a region takes the pool's
+   nested path and never gets here; with one, this check does it. *)
+let new_region () =
+  match Atomic.get current with
+  | None -> ()
+  | Some session ->
+      if not (Domain.DLS.get ambient).in_task then Atomic.incr session.epoch
 
 (* Sampled tasks running now, on any domain. While there are none, no
    phase event can be recorded, so the emitters stop at this one

@@ -37,10 +37,15 @@ val finish : unit -> dump option
     emitted concurrently with [finish] may be dropped. *)
 
 val new_region : unit -> unit
-(** Called by the pool at the start of every top-level parallel
-    region. Top-level regions are sequential, so the region ordinal is
-    deterministic and makes (epoch, task index) a unique span key even
-    when several regions reuse the same task indices. *)
+(** Called by the pool at the start of every region it opens outside
+    a parallel region. A span's epoch is the ordinal of the top-level
+    region it belongs to; top-level regions run one after another, so
+    the ordinal is deterministic and makes (epoch, task index) a unique
+    span key even when several regions reuse the same task indices.
+    While the calling domain runs a task ({!with_task}), this is a
+    no-op: a region opened inside a task (a sweep cell's solver) runs
+    sequentially within it and keeps its epoch, at one domain as at
+    many, where such a region never reaches this call. *)
 
 val with_task : index:int -> (unit -> 'a) -> 'a
 (** Record a {!Span.Pool_task} span around one task execution and make

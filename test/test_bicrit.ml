@@ -59,10 +59,73 @@ let test_best_second_speed_rows () =
 let test_rho_validation () =
   check_raises_invalid "rho = 0" (fun () -> Core.Bicrit.solve env ~rho:0.);
   check_raises_invalid "negative rho" (fun () ->
-      Core.Bicrit.best_second_speed env ~rho:(-1.) ~sigma1:0.4)
+      Core.Bicrit.best_second_speed env ~rho:(-1.) ~sigma1:0.4);
+  List.iter
+    (fun (name, rho) ->
+      check_raises_invalid ("solve, rho = " ^ name) (fun () ->
+          Core.Bicrit.solve env ~rho);
+      check_raises_invalid ("single-speed solve, rho = " ^ name) (fun () ->
+          Core.Bicrit.solve ~mode:Core.Bicrit.Single_speed env ~rho);
+      check_raises_invalid ("best_second_speed, rho = " ^ name) (fun () ->
+          Core.Bicrit.best_second_speed env ~rho ~sigma1:0.4))
+    [ ("infinity", infinity); ("nan", nan) ]
 
 let all_envs =
   List.map (fun c -> Core.Env.of_config c) Platforms.Config.all
+
+let test_candidates_match_pairwise () =
+  (* The solver's candidates are exactly Theorem 1 applied to every
+     pair of the paper's enumeration, infeasible pairs dropped, in
+     that order and to the last bit. *)
+  List.iter
+    (fun (env : Core.Env.t) ->
+      let rho_floor = Core.Bicrit.min_feasible_rho env in
+      let rhos =
+        [ Float.pred rho_floor; rho_floor; Float.succ rho_floor ]
+        @ List.map
+            (fun factor -> rho_floor *. factor)
+            [ 0.5; 1.0001; 1.01; 1.1; 1.3; 1.6; 2.; 3.; 5. ]
+        @ [ 1.775; 3.; 8. ]
+      in
+      List.iter
+        (fun rho ->
+          List.iter
+            (fun (mode, pairs) ->
+              let expected =
+                List.filter_map
+                  (fun (sigma1, sigma2) ->
+                    Core.Optimum.solve_pair env.params env.power ~rho ~sigma1
+                      ~sigma2)
+                  pairs
+              in
+              let got =
+                match Core.Bicrit.solve ~mode env ~rho with
+                | None -> []
+                | Some r -> r.Core.Bicrit.candidates
+              in
+              if not (List.equal same_solution expected got) then
+                Alcotest.failf "%a rho=%h: candidates differ (%d vs %d)"
+                  Core.Env.pp env rho (List.length expected)
+                  (List.length got))
+            [
+              (Core.Bicrit.Two_speeds, Core.Env.speed_pairs env);
+              ( Core.Bicrit.Single_speed,
+                Array.to_list (Array.map (fun s -> (s, s)) env.speeds) );
+            ])
+        rhos)
+    all_envs
+
+let test_solve_allocation () =
+  (* A two-speed solve on the paper's 5-speed ladder: 25 Theorem-1
+     kernels, each in its own pool task. What it allocates is the
+     candidates and little else. *)
+  let solve () =
+    ignore (Core.Bicrit.solve env ~rho:3. : Core.Bicrit.result option)
+  in
+  solve ();
+  let words = minor_words solve in
+  if words > 2000. then
+    Alcotest.failf "two-speed solve allocated %.0f words (bound 2000)" words
 
 let prop_two_speeds_never_lose =
   (* The single-speed solution space is a subset of the two-speed one,
@@ -147,6 +210,9 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_deterministic;
           Alcotest.test_case "mixed pair saves energy" `Quick
             test_saving_at_tight_bound;
+          Alcotest.test_case "candidates = per-pair Theorem 1" `Quick
+            test_candidates_match_pairwise;
+          Alcotest.test_case "solve allocation" `Quick test_solve_allocation;
         ] );
       ( "invariants",
         [

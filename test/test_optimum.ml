@@ -103,6 +103,67 @@ let prop_bound_active_consistent =
               (Core.Feasibility.contains s.Core.Optimum.window
                  s.Core.Optimum.w_energy))
 
+(* Theorem 1 composed from the public building blocks, each overhead
+   recomputed where it is used: the window from one time overhead, We
+   from one energy overhead, both evaluations from fresh ones again.
+   [solve_pair] computes each overhead once and must reproduce this
+   composition bit for bit. *)
+let reference_solve_pair p pw ~rho ~sigma1 ~sigma2 =
+  match Core.Feasibility.window p ~rho ~sigma1 ~sigma2 with
+  | None -> None
+  | Some window ->
+      let we = Core.Optimum.w_energy p pw ~sigma1 ~sigma2 in
+      let w_opt = Core.Feasibility.clamp window we in
+      let energy = Core.First_order.energy p pw ~sigma1 ~sigma2 in
+      let time = Core.First_order.time p ~sigma1 ~sigma2 in
+      Some
+        {
+          Core.Optimum.sigma1;
+          sigma2;
+          w_opt;
+          w_energy = we;
+          window;
+          energy_overhead = Core.First_order.eval energy ~w:w_opt;
+          time_overhead = Core.First_order.eval time ~w:w_opt;
+          bound_active = not (Core.Feasibility.contains window we);
+        }
+
+(* rho as a multiple of the pair's rho_min: comfortably feasible,
+   infeasible, and within a few ulps of the tangent contact, where the
+   window degenerates to a double root. *)
+let gen_rho_factor =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, float_range 1.05 5.);
+        (2, float_range 0.2 0.999);
+        ( 2,
+          map
+            (fun k -> 1. +. (float_of_int k *. epsilon_float))
+            (int_range (-4) 4) );
+        (1, float_range 0.999999 1.000001);
+      ])
+
+let prop_matches_reference =
+  QCheck.Test.make ~count:2000
+    ~name:"solve_pair equals the reference composition bit for bit"
+    (QCheck.make
+       ~print:(fun (p, pw, (sigma1, sigma2, factor)) ->
+         Format.asprintf "%a %a s1=%h s2=%h factor=%h" Core.Params.pp p
+           Core.Power.pp pw sigma1 sigma2 factor)
+       QCheck.Gen.(
+         triple gen_params gen_power
+           (triple gen_speed gen_speed gen_rho_factor)))
+    (fun (p, pw, (sigma1, sigma2, factor)) ->
+      let rho = Core.Feasibility.rho_min p ~sigma1 ~sigma2 *. factor in
+      match
+        ( Core.Optimum.solve_pair p pw ~rho ~sigma1 ~sigma2,
+          reference_solve_pair p pw ~rho ~sigma1 ~sigma2 )
+      with
+      | None, None -> true
+      | Some got, Some expected -> same_solution got expected
+      | Some _, None | None, Some _ -> false)
+
 let test_exact_overheads_close () =
   match Core.Optimum.solve_pair params power ~rho:3. ~sigma1:0.4 ~sigma2:0.4 with
   | None -> Alcotest.fail "expected a solution"
@@ -151,5 +212,6 @@ let () =
           Testutil.qcheck prop_bound_respected;
           Testutil.qcheck prop_wopt_optimal_in_window;
           Testutil.qcheck prop_bound_active_consistent;
+          Testutil.qcheck prop_matches_reference;
         ] );
     ]

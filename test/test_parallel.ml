@@ -282,6 +282,23 @@ let test_validation () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "chunk = 0 must raise"
 
+let test_region_allocation () =
+  (* A fault-free region allocates its result and a small constant:
+     no closure, retry bookkeeping or index array per task. *)
+  let pool = Parallel.Pool.sequential in
+  let region n () =
+    ignore (Parallel.Pool.init_array pool n Fun.id : int array)
+  in
+  region 2 ();
+  let small = Testutil.minor_words (region 2) in
+  if small > 80. then
+    Alcotest.failf "2-task region allocated %.0f words (bound 80)" small;
+  region 1000 ();
+  let per_task = Testutil.minor_words (region 1000) /. 1000. in
+  if per_task > 16. then
+    Alcotest.failf "1000-task region allocated %.1f words per task (bound 16)"
+      per_task
+
 (* ------------------------------------------------------------------ *)
 (* Determinism of the parallelized hot paths                           *)
 
@@ -428,6 +445,7 @@ let () =
           Alcotest.test_case "nested regions degrade" `Quick
             test_nested_regions_degrade;
           Alcotest.test_case "validation" `Quick test_validation;
+          Alcotest.test_case "region allocation" `Quick test_region_allocation;
         ] );
       ( "supervision",
         [

@@ -38,6 +38,22 @@ let workload pool n =
       Tracing.Tracer.count Tracing.Span.Cache_hits;
       !acc)
 
+(* Every task opens a region of its own, as a sweep cell does when it
+   calls the solver. The inner regions run inside the enclosing task at
+   any domain count, and their phase events belong to it. An inner
+   failure becomes a nan result rather than a retried outer task. *)
+let nested_workload pool n =
+  Parallel.Pool.init_array pool n (fun i ->
+      match
+        Parallel.Pool.init_array pool 3 (fun j ->
+            Tracing.Tracer.phase_begin Tracing.Span.Work;
+            let v = float_of_int ((8 * i) + j) ** 0.5 in
+            Tracing.Tracer.phase_end Tracing.Span.Work;
+            v)
+      with
+      | inner -> Array.fold_left ( +. ) 0. inner
+      | exception (Parallel.Pool.Tasks_failed _ | Invalid_argument _) -> nan)
+
 let span_key (s : Tracing.Export.span) =
   Printf.sprintf "%d/%d/%s/%s" s.epoch s.id
     (Tracing.Span.category_name s.category)
@@ -223,7 +239,7 @@ let normalize json =
   done;
   Buffer.contents b
 
-let run_once ~domains n =
+let run_once ?(workload = workload) ~domains n =
   let pool = Parallel.Pool.create ~domains in
   let result, dump = traced ~sample_every:1 (fun () -> workload pool n) in
   (result, dump)
@@ -236,13 +252,13 @@ let test_determinism () =
     (normalize (Tracing.Export.chrome_json d1))
     (normalize (Tracing.Export.chrome_json d2))
 
-let test_pool_integration () =
-  (* Span identities (epoch, id, category, label) must not depend on
-     the domain count; 1 and 2 and 4 domains see the same trace. *)
+(* Span identities (epoch, id, category, label) must not depend on
+   the domain count; 1 and 2 and 4 domains see the same trace. *)
+let check_domain_independence workload =
   let reference = ref None in
   List.iter
     (fun domains ->
-      let r, dump = run_once ~domains 24 in
+      let r, dump = run_once ~workload ~domains 24 in
       Alcotest.(check int)
         (Printf.sprintf "balanced at %d domains" domains)
         0 (Tracing.Export.unmatched dump);
@@ -261,6 +277,21 @@ let test_pool_integration () =
             (Printf.sprintf "normalized trace at %d domains matches" domains)
             normalized0 normalized)
     [ 1; 2; 4 ]
+
+let test_pool_integration () = check_domain_independence workload
+
+let test_nested_regions_keep_epoch () =
+  (* A region opened inside a task is not a new epoch: its work is the
+     enclosing task's, at one domain as at four. *)
+  check_domain_independence nested_workload;
+  let _, dump = run_once ~workload:nested_workload ~domains:1 24 in
+  let epochs =
+    List.sort_uniq Int.compare
+      (List.map
+         (fun (s : Tracing.Export.span) -> s.epoch)
+         (Tracing.Export.spans_of dump))
+  in
+  Alcotest.(check (list int)) "one epoch for one top-level region" [ 1 ] epochs
 
 let test_multi_region_epochs () =
   (* Two successive top-level regions reuse task indices; the epoch
@@ -328,6 +359,8 @@ let () =
         [
           Alcotest.test_case "identical runs" `Quick test_determinism;
           Alcotest.test_case "1/2/4 domains" `Quick test_pool_integration;
+          Alcotest.test_case "1/2/4 domains, nested regions" `Quick
+            test_nested_regions_keep_epoch;
           Alcotest.test_case "multi-region epochs" `Quick
             test_multi_region_epochs;
         ] );

@@ -93,3 +93,18 @@ let minor_words f =
   let before = Gc.minor_words () in
   f ();
   Gc.minor_words () -. before
+
+(* Bit-for-bit float equality: unlike [=], it tells 0. from -0. and
+   matches a nan with the same nan. *)
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_solution (a : Core.Optimum.solution) (b : Core.Optimum.solution) =
+  same_bits a.sigma1 b.sigma1
+  && same_bits a.sigma2 b.sigma2
+  && same_bits a.w_opt b.w_opt
+  && same_bits a.w_energy b.w_energy
+  && same_bits a.window.w_min b.window.w_min
+  && same_bits a.window.w_max b.window.w_max
+  && same_bits a.energy_overhead b.energy_overhead
+  && same_bits a.time_overhead b.time_overhead
+  && Bool.equal a.bound_active b.bound_active
