@@ -1206,85 +1206,64 @@ let serve_cmd =
   let run port socket cache_entries max_request_bytes max_inflight log_every
       deadline_ms io_timeout_ms max_queue verify_sample shards
       shard_spawn_timeout_ms =
-    if port = None && socket = None then
-      die Cmd.Exit.cli_error "serve needs a listener: pass --port and/or --socket";
-    (match port with
-    | Some p when p < 1 || p > 65535 ->
-        die Cmd.Exit.cli_error "--port must be in 1..65535"
-    | Some _ | None -> ());
-    if cache_entries < 0 then
-      die Cmd.Exit.cli_error "--cache-entries must be >= 0";
-    if max_request_bytes < 2 then
-      die Cmd.Exit.cli_error "--max-request-bytes must be at least 2";
-    if max_inflight < 1 then die Cmd.Exit.cli_error "--max-inflight must be >= 1";
-    if log_every < 0 then die Cmd.Exit.cli_error "--log-every must be >= 0";
-    if deadline_ms < 0 then die Cmd.Exit.cli_error "--deadline-ms must be >= 0";
-    if io_timeout_ms < 0 then
-      die Cmd.Exit.cli_error "--io-timeout-ms must be >= 0";
-    if max_queue < 0 then die Cmd.Exit.cli_error "--max-queue must be >= 0";
-    if verify_sample < 0 then
-      die Cmd.Exit.cli_error "--verify-sample must be >= 0";
-    if shards < 1 || shards > 64 then
-      die Cmd.Exit.cli_error "--shards must be in 1..64";
-    if shard_spawn_timeout_ms < 1 then
-      die Cmd.Exit.cli_error "--shard-spawn-timeout-ms must be >= 1";
-    if shards = 1 then begin
-      let options =
-        {
-          Server.Daemon.port;
-          socket_path = socket;
-          cache_entries;
-          max_request_bytes;
-          max_inflight;
-          log_every;
-          handle_signals = true;
-          deadline_ms;
-          io_timeout_ms;
-          max_queue;
-          verify_sample;
-        }
-      in
-      match Server.Daemon.run options with
-      | Ok () -> 0
-      | Error message -> die exit_config message
-    end
-    else begin
-      (* Every worker is this same binary running a single-process
-         [serve] on a private socket; the router forwards the tuning
-         flags verbatim and pins the resolved domain count so workers
-         do not re-read REXSPEED_DOMAINS differently. REXSPEED_SHARDS
-         itself is stripped from the worker environment by the
-         supervisor, so a worker can never recurse into a router. *)
-      let worker_args =
-        [
-          ("--cache-entries", cache_entries);
-          ("--max-request-bytes", max_request_bytes);
-          ("--max-inflight", max_inflight);
-          ("--log-every", log_every);
-          ("--deadline-ms", deadline_ms);
-          ("--io-timeout-ms", io_timeout_ms);
-          ("--max-queue", max_queue);
-          ("--verify-sample", verify_sample);
-          ("--domains", Parallel.Pool.(domains (default ())));
-        ]
-        |> List.concat_map (fun (flag, v) -> [ flag; string_of_int v ])
-      in
-      let options =
-        {
-          Server.Router.port;
-          socket_path = socket;
-          shards;
-          spawn_timeout_ms = shard_spawn_timeout_ms;
-          max_request_bytes;
-          worker_exe = Sys.executable_name;
-          worker_args;
-          handle_signals = true;
-        }
-      in
-      match Server.Router.run options with
-      | Ok () -> 0
-      | Error message -> die exit_config message
-    end
+    let daemon =
+      {
+        Server.Daemon.port;
+        socket_path = socket;
+        cache_entries;
+        max_request_bytes;
+        max_inflight;
+        log_every;
+        handle_signals = true;
+        deadline_ms;
+        io_timeout_ms;
+        max_queue;
+        verify_sample;
+      }
+    in
+    (* Every worker is this same binary running a single-process
+       [serve] on a private socket; the router forwards the tuning
+       flags verbatim and pins the resolved domain count so workers do
+       not re-read REXSPEED_DOMAINS differently. REXSPEED_SHARDS itself
+       is stripped from the worker environment by the supervisor, so a
+       worker can never recurse into a router. *)
+    let router =
+      {
+        Server.Router.port;
+        socket_path = socket;
+        shards;
+        spawn_timeout_ms = shard_spawn_timeout_ms;
+        max_request_bytes;
+        worker_exe = Sys.executable_name;
+        worker_args =
+          [
+            ("--cache-entries", cache_entries);
+            ("--max-request-bytes", max_request_bytes);
+            ("--max-inflight", max_inflight);
+            ("--log-every", log_every);
+            ("--deadline-ms", deadline_ms);
+            ("--io-timeout-ms", io_timeout_ms);
+            ("--max-queue", max_queue);
+            ("--verify-sample", verify_sample);
+            ("--domains", Parallel.Pool.(domains (default ())));
+          ]
+          |> List.concat_map (fun (flag, v) -> [ flag; string_of_int v ]);
+        handle_signals = true;
+      }
+    in
+    (* Options are checked where they are used, before anything starts:
+       the workers of a sharded fleet get the daemon's options. *)
+    let checked =
+      Result.bind (Server.Daemon.validate daemon) (fun () ->
+          if shards = 1 then Ok () else Server.Router.validate router)
+    in
+    let served =
+      match checked with
+      | Error message -> die Cmd.Exit.cli_error message
+      | Ok () when shards = 1 -> Server.Daemon.run daemon
+      | Ok () -> Server.Router.run router
+    in
+    match served with Ok () -> 0 | Error message -> die exit_config message
   in
   Cmd.v
     (cmd_info "serve"

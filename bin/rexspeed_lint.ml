@@ -4,26 +4,21 @@
    test), reports file:line-addressed diagnostics for the project
    invariants (rules RX001..RX014, see DESIGN.md §11 and §14),
    subtracts the checked-in baseline, and exits non-zero on anything
-   left. Per-module summaries are cached keyed by file digest, so a
-   warm re-run only re-parses the files that changed; the
-   interprocedural pass always runs from summaries, keeping warm and
-   cold output byte-identical.
+   left. Every run parses every file; the interprocedural pass runs
+   from per-module summaries.
 
    Exit codes follow the repo convention: 0 clean, 1 findings, 2
    usage/parse error. *)
 
 let usage =
   "rexspeed_lint [--json] [--baseline FILE] [--update-baseline] [--graph \
-   FILE] [--summary-cache FILE] [--no-summary-cache] [ROOT...]"
-
-let default_cache = ".rexspeed-lint-cache"
+   FILE] [ROOT...]"
 
 let () =
   let json = ref false in
   let baseline_path = ref None in
   let update_baseline = ref false in
   let graph_path = ref None in
-  let cache_path = ref (Some default_cache) in
   let roots = ref [] in
   let spec =
     [
@@ -38,14 +33,6 @@ let () =
         Arg.String (fun s -> graph_path := Some s),
         "FILE write the cross-module call graph to FILE (Graphviz DOT when \
          FILE ends in .dot, JSON otherwise)" );
-      ( "--summary-cache",
-        Arg.String (fun s -> cache_path := Some s),
-        Printf.sprintf
-          "FILE read/write per-module summaries at FILE (default %s)"
-          default_cache );
-      ( "--no-summary-cache",
-        Arg.Unit (fun () -> cache_path := None),
-        " parse every file from scratch; read and write no cache" );
     ]
   in
   Arg.parse (Arg.align spec) (fun r -> roots := r :: !roots) usage;
@@ -65,7 +52,7 @@ let () =
       Printf.eprintf "rexspeed_lint: bad baseline: %s\n" msg;
       exit 2
   | Ok baseline ->
-      let report = Lint.Driver.scan ?cache_file:!cache_path ~roots () in
+      let report = Lint.Driver.scan ~roots () in
       List.iter
         (fun e -> Printf.eprintf "rexspeed_lint: %s\n" e)
         report.errors;
@@ -107,8 +94,8 @@ let () =
           kept;
         Printf.printf
           "rexspeed_lint: %d file(s), %d finding(s), %d baselined, %d \
-           suppressed (summaries: %d cached, %d rebuilt)\n"
+           suppressed\n"
           report.files_scanned (List.length kept) (List.length baselined)
-          report.suppressed report.cache_hits report.cache_misses
+          report.suppressed
       end;
       exit (if kept = [] then 0 else 1)

@@ -2,8 +2,6 @@ type report = {
   findings : Diagnostic.t list;
   suppressed : int;
   files_scanned : int;
-  cache_hits : int;
-  cache_misses : int;
   errors : string list;
   graph : Callgraph.t;
 }
@@ -93,7 +91,7 @@ let summarize path kind source : Summary.file_summary =
         parse_errors = [ msg ];
       }
 
-let scan ?cache_file ~roots () =
+let scan ~roots () =
   let errors = ref [] in
   let files =
     List.concat_map
@@ -106,13 +104,8 @@ let scan ?cache_file ~roots () =
         end)
       roots
   in
-  let cache =
-    match cache_file with None -> [] | Some path -> Summary.load path
-  in
-  let cache_hits = ref 0 and cache_misses = ref 0 in
-  (* Pass 1: one summary per file, from the digest-keyed cache when
-     the bytes are unchanged. A warm run is byte-identical to a cold
-     one by construction — every later pass reads summaries only. *)
+  (* Pass 1: one summary per file; every later pass reads summaries
+     only. *)
   let summaries =
     List.filter_map
       (fun (path, kind) ->
@@ -120,29 +113,9 @@ let scan ?cache_file ~roots () =
         | exception Sys_error msg ->
             errors := msg :: !errors;
             None
-        | source ->
-            let digest = Digest.string source in
-            let summary =
-              match Summary.find cache ~path ~digest with
-              | Some s ->
-                  incr cache_hits;
-                  s
-              | None ->
-                  incr cache_misses;
-                  summarize path kind source
-            in
-            Some (digest, summary))
+        | source -> Some (summarize path kind source))
       files
   in
-  Option.iter
-    (fun path ->
-      Summary.store path
-        (List.map
-           (fun (digest, (s : Summary.file_summary)) ->
-             (s.path, { Summary.digest; summary = s }))
-           summaries))
-    cache_file;
-  let summaries = List.map snd summaries in
   List.iter
     (fun (s : Summary.file_summary) ->
       List.iter (fun msg -> errors := msg :: !errors) s.parse_errors;
@@ -209,8 +182,6 @@ let scan ?cache_file ~roots () =
     findings;
     suppressed = !suppressed;
     files_scanned = List.length files;
-    cache_hits = !cache_hits;
-    cache_misses = !cache_misses;
     errors = List.rev !errors;
     graph;
   }

@@ -5,20 +5,16 @@
     linter's own deliberately-violating test corpus. Files are
     visited in sorted order so reports are byte-stable.
 
-    The scan is two-phase: pass 1 produces one {!Summary.file_summary}
-    per file (served from the digest-keyed cache when the file's bytes
-    are unchanged), pass 2 runs the whole-program analyses — RX009
-    dead exports plus the interprocedural RX012–RX014 over the
-    {!Callgraph}. Because pass 2 only ever reads summaries, a warm
-    (cached) run is byte-identical to a cold one. *)
+    The scan is two-phase: pass 1 parses every file into one
+    {!Summary.file_summary}, pass 2 runs the whole-program analyses —
+    RX009 dead exports plus the interprocedural RX012–RX014 over the
+    {!Callgraph} — from those summaries only. *)
 
 type report = {
   findings : Diagnostic.t list;
       (** suppression-filtered, sorted; baseline not yet applied *)
   suppressed : int;  (** findings silenced by per-line comments *)
   files_scanned : int;
-  cache_hits : int;  (** summaries served from the digest cache *)
-  cache_misses : int;  (** files parsed and summarized this run *)
   errors : string list;
       (** parse failures and malformed suppression directives — these
           fail the run independently of [findings] *)
@@ -28,11 +24,9 @@ type report = {
 val default_roots : string list
 (** [["lib"; "bin"; "bench"; "test"]] *)
 
-val scan : ?cache_file:string -> roots:string list -> unit -> report
+val scan : roots:string list -> unit -> report
 (** [roots] may mix files and directories; nonexistent roots are
-    reported in [errors]. When [cache_file] is given, summaries are
-    read from and rewritten to it (crash-atomically); a missing,
-    stale, or corrupt cache silently degrades to a cold run. *)
+    reported in [errors]. *)
 
 val apply_baseline :
   Baseline.t -> Diagnostic.t list -> Diagnostic.t list * Diagnostic.t list

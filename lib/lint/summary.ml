@@ -1,14 +1,12 @@
-(* Per-module analysis summaries and their digest-keyed cache.
+(* Per-module analysis summaries.
 
    One [file_summary] holds everything the driver needs from a source
    file: the per-file diagnostics, the suppression table, the RX009
    export/use sides, and the function-level facts (sinks, calls,
    raises, unguarded writes, pool-submission sites) the
    interprocedural pass composes. A summary is a pure function of the
-   file's bytes, so it can be cached keyed by content digest: a warm
-   run re-parses only the files that changed and is byte-identical to
-   a cold run by construction — the interprocedural pass itself always
-   runs from summaries, never from ASTs. *)
+   file's bytes; the interprocedural pass runs from summaries, never
+   from ASTs. *)
 
 type sink_kind = Random_src | Clock | Domain_self | Hashtbl_order
 
@@ -70,55 +68,3 @@ type file_summary = {
   suppress : Suppress.t;
   parse_errors : string list;
 }
-
-(* ------------------------------------------------------------------ *)
-(* Digest-keyed cache                                                  *)
-
-(* The cache is a Marshal blob guarded by a magic line carrying a
-   schema counter and the compiler version: Marshal is not stable
-   across OCaml releases or summary-type changes, so any mismatch —
-   or any read/parse failure at all — silently degrades to a cold
-   run. Bump [schema] whenever the summary types change shape. *)
-
-let schema = 1
-
-let magic () =
-  Printf.sprintf "rexspeed-lint-summary-cache %d %s\n" schema
-    Sys.ocaml_version
-
-type entry = { digest : string; summary : file_summary }
-type cache = (string * entry) list  (* keyed by source path *)
-
-let load path : cache =
-  match
-    In_channel.with_open_bin path (fun ic ->
-        let m = magic () in
-        let buf = really_input_string ic (String.length m) in
-        if not (String.equal buf m) then []
-        else (Marshal.from_channel ic : cache))
-  with
-  | cache -> cache
-  | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
-  | exception _ -> []
-
-let store path (cache : cache) =
-  (* Crash-atomic: the reader either sees the previous cache or the
-     complete new one, never a torn blob (same tmp + rename pattern
-     as Report.Csv and Baseline.save). *)
-  let tmp = path ^ ".tmp" in
-  match
-    Out_channel.with_open_bin tmp (fun oc ->
-        Out_channel.output_string oc (magic ());
-        Marshal.to_channel oc cache []);
-    Sys.rename tmp path
-  with
-  | () -> ()
-  | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
-  | exception _ -> (
-      (* A read-only checkout must not fail the lint run. *)
-      try Sys.remove tmp with Sys_error _ -> ())
-
-let find (cache : cache) ~path ~digest =
-  match List.assoc_opt path cache with
-  | Some e when String.equal e.digest digest -> Some e.summary
-  | _ -> None

@@ -1,10 +1,9 @@
-(** Per-module analysis summaries and their digest-keyed cache.
+(** Per-module analysis summaries.
 
     A {!file_summary} is a pure function of one source file's bytes:
     the per-file diagnostics plus the function-level facts the
-    interprocedural rules (RX012–RX014) compose. Because the
-    interprocedural pass runs from summaries only, a warm (cached)
-    run produces byte-identical diagnostics to a cold one. *)
+    interprocedural rules (RX012–RX014) compose. The interprocedural
+    pass runs from summaries only. *)
 
 type sink_kind = Random_src | Clock | Domain_self | Hashtbl_order
 
@@ -55,19 +54,3 @@ type file_summary = {
   suppress : Suppress.t;
   parse_errors : string list;
 }
-
-(** {2 Cache}
-
-    A Marshal blob guarded by a magic line carrying a schema counter
-    and the compiler version; any mismatch or I/O failure degrades to
-    a cold run. Writes are crash-atomic (tmp + rename). *)
-
-type entry = { digest : string; summary : file_summary }
-type cache = (string * entry) list
-
-val load : string -> cache
-val store : string -> cache -> unit
-
-val find : cache -> path:string -> digest:string -> file_summary option
-(** The cached summary for [path], only if its recorded digest
-    matches the current file contents. *)

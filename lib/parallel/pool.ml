@@ -106,10 +106,11 @@ let set_domain_fault_injector f = Atomic.set domain_fault_injector f
 
 let max_recovery_rounds = 8
 
-(* Process-lifetime total of supervised worker restarts; the daemon's
-   [health] route reports it as worker liveness. *)
-let restarts = Atomic.make 0
-let worker_restarts () = Atomic.get restarts
+(* The pool's counter registry: the process-lifetime total of
+   supervised worker restarts, which the daemon's [health] route
+   reports as worker liveness. *)
+let counters = Tracing.Counters.create ()
+let worker_restarts () = Tracing.Counters.get counters Worker_restarts
 
 (* ------------------------------------------------------------------ *)
 (* Regions                                                             *)
@@ -262,8 +263,7 @@ let rec supervise r ~extra_workers ~chunk ~round todo =
      so only a pass with deaths needs the scan. *)
   let left = if crashed = 0 then [||] else unfinished r in
   if Array.length left > 0 then begin
-    ignore (Atomic.fetch_and_add restarts crashed : int);
-    Tracing.Tracer.count ~n:crashed Tracing.Span.Worker_restarts;
+    Tracing.Counters.bump counters ~n:crashed Worker_restarts;
     if round + 1 >= max_recovery_rounds then
       Array.iter
         (fun i ->

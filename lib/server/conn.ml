@@ -67,6 +67,12 @@ let unix path =
           (Printf.sprintf "cannot listen on socket %s: %s" path
              (Unix.error_message err)))
 
+let check_endpoints ~port ~socket_path =
+  match (port, socket_path) with
+  | None, None -> Error "serve needs a listener: pass --port and/or --socket"
+  | Some p, _ when p < 1 || p > 65535 -> Error "--port must be in 1..65535"
+  | _ -> Ok ()
+
 let listen ~port ~socket_path =
   let rec open_all acc = function
     | [] -> Ok (List.rev acc)
@@ -77,12 +83,10 @@ let listen ~port ~socket_path =
             List.iter close_listener acc;
             e)
   in
-  match
-    Option.to_list (Option.map (fun p () -> tcp p) port)
-    @ Option.to_list (Option.map (fun p () -> unix p) socket_path)
-  with
-  | [] -> Error "serve needs a listener: pass --port and/or --socket"
-  | openers -> open_all [] openers
+  Result.bind (check_endpoints ~port ~socket_path) (fun () ->
+      open_all []
+        (Option.to_list (Option.map (fun p () -> tcp p) port)
+        @ Option.to_list (Option.map (fun p () -> unix p) socket_path)))
 
 (* ------------------------------------------------------------------ *)
 (* Connections                                                         *)

@@ -23,13 +23,19 @@
 
 type listener
 
+val check_endpoints :
+  port:int option -> socket_path:string option -> (unit, string) result
+(** [Error] naming the flag when neither endpoint is given or [port]
+    is outside 1..65535. The one endpoint check: {!listen} and both
+    servers' option validators call it. *)
+
 val listen :
   port:int option -> socket_path:string option -> (listener list, string) result
 (** Bind and listen on TCP [127.0.0.1:port] and/or the Unix socket
     [socket_path]. A leftover socket file is removed only after a
-    connect probe proves no live process owns it. Fails if neither
-    endpoint is given, if a bind fails (e.g. [EADDRINUSE]), or if
-    [socket_path] belongs to a live process. *)
+    connect probe proves no live process owns it. Fails if
+    {!check_endpoints} does, if a bind fails (e.g. [EADDRINUSE]), or
+    if [socket_path] belongs to a live process. *)
 
 val endpoint : listener -> string
 (** ["tcp:127.0.0.1:PORT"] or ["unix:PATH"], for log lines. *)

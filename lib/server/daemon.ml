@@ -30,28 +30,6 @@ let default_options =
 let stop_requested = Atomic.make false
 let stop () = Atomic.set stop_requested true
 
-(* Hardening counters, owned by the dispatcher and reported by the
-   [health] and [stats] routes. The matching trace counters are bumped
-   at the same points; these survive when tracing is off. *)
-type hardening = {
-  mutable shed : int;
-  mutable deadline_exceeded : int;
-  mutable io_timeouts : int;
-  mutable verify_checks : int;
-  mutable verify_divergences : int;
-  mutable chaos_io : int;
-}
-
-let fresh_hardening () =
-  {
-    shed = 0;
-    deadline_exceeded = 0;
-    io_timeouts = 0;
-    verify_checks = 0;
-    verify_divergences = 0;
-    chaos_io = 0;
-  }
-
 (* ------------------------------------------------------------------ *)
 (* Responses                                                           *)
 
@@ -69,17 +47,18 @@ let result_response ~id ~route ~fingerprint ~cached ~(rendering : Render.renderi
       ("output", Json.String rendering.output);
     ]
 
-let hardening_json ~hardening ~queue_depth ~domains =
+let hardening_json ~counters ~queue_depth ~domains =
+  let count c = Json.Int (Tracing.Counters.get counters c) in
   [
     ("queue_depth", Json.Int queue_depth);
-    ("shed", Json.Int hardening.shed);
-    ("deadline_exceeded", Json.Int hardening.deadline_exceeded);
-    ("io_timeouts", Json.Int hardening.io_timeouts);
+    ("shed", count Sheds);
+    ("deadline_exceeded", count Deadline_timeouts);
+    ("io_timeouts", count Io_timeouts);
     ( "verify",
       Json.Obj
         [
-          ("checks", Json.Int hardening.verify_checks);
-          ("divergences", Json.Int hardening.verify_divergences);
+          ("checks", count Verify_checks);
+          ("divergences", count Verify_divergences);
         ] );
     ( "workers",
       Json.Obj
@@ -89,7 +68,7 @@ let hardening_json ~hardening ~queue_depth ~domains =
         ] );
   ]
 
-let health_response ~id ~metrics ~hardening ~queue_depth ~max_queue ~domains =
+let health_response ~id ~metrics ~counters ~queue_depth ~max_queue ~domains =
   Json.Obj
     [
       ("id", id);
@@ -103,7 +82,7 @@ let health_response ~id ~metrics ~hardening ~queue_depth ~max_queue ~domains =
              ("uptime_s", float_or_null (Metrics.uptime_s metrics));
              ("ready", Json.Bool (max_queue = 0 || queue_depth < max_queue));
            ]
-          @ hardening_json ~hardening ~queue_depth ~domains) );
+          @ hardening_json ~counters ~queue_depth ~domains) );
     ]
 
 let latency_json (s : Metrics.route_stats) =
@@ -116,7 +95,13 @@ let latency_json (s : Metrics.route_stats) =
       ("p99", ms s.latency_p99_s);
     ]
 
-let stats_response ~id ~metrics ~cache ~hardening ~queue_depth ~domains =
+(* Cache hits over lookups; [0.] before the first lookup. *)
+let hit_rate counters =
+  let hits = Tracing.Counters.get counters Cache_hits in
+  let total = hits + Tracing.Counters.get counters Cache_misses in
+  if total = 0 then 0. else float_of_int hits /. float_of_int total
+
+let stats_response ~id ~metrics ~cache ~counters ~queue_depth ~domains =
   let route_json (s : Metrics.route_stats) =
     Json.Obj
       [
@@ -146,11 +131,13 @@ let stats_response ~id ~metrics ~cache ~hardening ~queue_depth ~domains =
                 [
                   ("capacity", Json.Int (Lru.capacity cache));
                   ("entries", Json.Int (Lru.length cache));
-                  ("hits", Json.Int (Lru.hits cache));
-                  ("misses", Json.Int (Lru.misses cache));
-                  ("hit_rate", Json.Float (Lru.hit_rate cache));
+                  ("hits", Json.Int (Tracing.Counters.get counters Cache_hits));
+                  ( "misses",
+                    Json.Int (Tracing.Counters.get counters Cache_misses) );
+                  ("hit_rate", Json.Float (hit_rate counters));
                 ] );
-            ("hardening", Json.Obj (hardening_json ~hardening ~queue_depth ~domains));
+            ( "hardening",
+              Json.Obj (hardening_json ~counters ~queue_depth ~domains) );
           ] );
     ]
 
@@ -161,36 +148,32 @@ let stats_response ~id ~metrics ~cache ~hardening ~queue_depth ~domains =
    batch). Never raises: a handler exception becomes an [internal]
    error response, not a dead daemon. *)
 let compute request =
-  let t0 = Metrics.now_s () in
-  let outcome =
-    match
-      match request with
-      | Protocol.Optimize { config; rho; single_speed } ->
-          let mode =
-            if single_speed then Core.Bicrit.Single_speed
-            else Core.Bicrit.Two_speeds
-          in
-          Render.optimize ~mode
-            ~env:(Core.Env.of_config config)
-            ~name:(Platforms.Config.name config)
-            ~rho ()
-      | Protocol.Frontier { config } ->
-          Render.frontier
-            ~env:(Core.Env.of_config config)
-            ~name:(Platforms.Config.name config)
-            ()
-      | Protocol.Evaluate { config; w; sigma1; sigma2; replicas } ->
-          Render.evaluate
-            ~env:(Core.Env.of_config config)
-            ~w ~sigma1 ~sigma2 ~replicas ()
-      | Protocol.Health | Protocol.Stats ->
-          invalid_arg "Daemon.compute: live route"
-    with
-    | rendering -> Ok rendering
-    | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
-    | exception e -> Error (Printexc.to_string e)
-  in
-  (outcome, Metrics.now_s () -. t0)
+  match
+    match request with
+    | Protocol.Optimize { config; rho; single_speed } ->
+        let mode =
+          if single_speed then Core.Bicrit.Single_speed
+          else Core.Bicrit.Two_speeds
+        in
+        Render.optimize ~mode
+          ~env:(Core.Env.of_config config)
+          ~name:(Platforms.Config.name config)
+          ~rho ()
+    | Protocol.Frontier { config } ->
+        Render.frontier
+          ~env:(Core.Env.of_config config)
+          ~name:(Platforms.Config.name config)
+          ()
+    | Protocol.Evaluate { config; w; sigma1; sigma2; replicas } ->
+        Render.evaluate
+          ~env:(Core.Env.of_config config)
+          ~w ~sigma1 ~sigma2 ~replicas ()
+    | Protocol.Health | Protocol.Stats ->
+        invalid_arg "Daemon.compute: live route"
+  with
+  | rendering -> Ok rendering
+  | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
+  | exception e -> Error (Printexc.to_string e)
 
 (* The response fingerprint compared by verified re-execution: the
    rendered bytes plus the ok bit, hashed with the same checksum the
@@ -208,7 +191,7 @@ let request_id line =
 
 (* One parsed-and-classified request line. *)
 type job =
-  | Immediate of { route : string; ok : bool; response : Json.t; latency_s : float }
+  | Immediate of { route : string; ok : bool; response : Json.t }
   | Solve of {
       id : Json.t;
       request : Protocol.request;
@@ -220,7 +203,8 @@ type job =
 (* Dispatcher state                                                    *)
 
 (* One admitted request line. The ordinal is assigned at admission by
-   the single dispatcher, so it doubles as the trace span id. *)
+   the single dispatcher, so it doubles as the trace span id; a
+   request's latency runs from [admitted_at] to its last byte written. *)
 type admission = {
   conn : Conn.t;
   line : string;
@@ -234,7 +218,7 @@ type state = {
   listeners : Conn.listener list;
   cache : Render.rendering Lru.t;
   metrics : Metrics.t;
-  hardening : hardening;
+  counters : Tracing.Counters.t;
   domains : int;
   give_up_s : float;  (* --io-timeout-ms; [infinity] when 0 *)
   deadline_s : float;
@@ -249,8 +233,6 @@ type state = {
 }
 
 let classify st ~ordinal line =
-  let started = Metrics.now_s () in
-  let elapsed () = Metrics.now_s () -. started in
   let queue_depth = Queue.length st.queue in
   match Json.decode line with
   | Error e ->
@@ -262,7 +244,6 @@ let classify st ~ordinal line =
             Protocol.error_response ~id:Json.Null ~code:"parse"
               ~extra:[ ("position", Json.Int e.position) ]
               e.message;
-          latency_s = elapsed ();
         }
   | Ok json -> (
       let id = Option.value (Json.member "id" json) ~default:Json.Null in
@@ -273,7 +254,6 @@ let classify st ~ordinal line =
               route = "invalid";
               ok = false;
               response = Protocol.error_response ~id ~code:"bad-request" reason;
-              latency_s = elapsed ();
             }
       | Ok Protocol.Health ->
           Immediate
@@ -281,10 +261,9 @@ let classify st ~ordinal line =
               route = "health";
               ok = true;
               response =
-                health_response ~id ~metrics:st.metrics
-                  ~hardening:st.hardening ~queue_depth
-                  ~max_queue:st.options.max_queue ~domains:st.domains;
-              latency_s = elapsed ();
+                health_response ~id ~metrics:st.metrics ~counters:st.counters
+                  ~queue_depth ~max_queue:st.options.max_queue
+                  ~domains:st.domains;
             }
       | Ok Protocol.Stats ->
           Immediate
@@ -293,8 +272,7 @@ let classify st ~ordinal line =
               ok = true;
               response =
                 stats_response ~id ~metrics:st.metrics ~cache:st.cache
-                  ~hardening:st.hardening ~queue_depth ~domains:st.domains;
-              latency_s = elapsed ();
+                  ~counters:st.counters ~queue_depth ~domains:st.domains;
             }
       | Ok request ->
           let fingerprint = Protocol.fingerprint request in
@@ -305,25 +283,20 @@ let classify st ~ordinal line =
                   Tracing.Span.Cache_lookup (fun () ->
                     Lru.find st.cache fingerprint)
               in
-              Tracing.Tracer.count
-                (match hit with
-                | Some _ -> Tracing.Span.Cache_hits
-                | None -> Tracing.Span.Cache_misses);
+              Tracing.Counters.bump st.counters
+                (match hit with Some _ -> Cache_hits | None -> Cache_misses);
               hit
             end
             else None
           in
           Solve { id; request; fingerprint; cached })
 
-let io_fires st kind ~ordinal =
+let io_fires kind ~ordinal =
   match Resilience.Chaos.io_active () with
   | None -> false
   | Some io ->
       let fire = Resilience.Chaos.io_fires io kind ~index:ordinal ~attempt:0 in
-      if fire then begin
-        st.hardening.chaos_io <- st.hardening.chaos_io + 1;
-        Tracing.Tracer.count Tracing.Span.Chaos_io_injections
-      end;
+      if fire then Tracing.Tracer.count Tracing.Span.Chaos_io_injections;
       fire
 
 let log_line st =
@@ -335,36 +308,39 @@ let log_line st =
      %!"
     totals.requests
     (float_of_int totals.requests /. Float.max uptime 1e-9)
-    (100. *. Lru.hit_rate st.cache)
+    (100. *. hit_rate st.counters)
     (1000. *. totals.latency_p99_s)
 
 (* ------------------------------------------------------------------ *)
 (* Answering                                                           *)
 
-(* Send one answer. Metrics record it when its last byte is written or
-   its connection dies: a response that never reached its client is a
-   failed request, whatever the solver said. *)
-let respond st conn ~ordinal job =
-  let route, ok, response, latency_s =
+(* Send one answer. It is measured once, when its last byte is written
+   or its connection dies: the latency from admission, for the metrics
+   and the request span alike. A response that never reached its
+   client is a failed request, whatever the solver said. *)
+let respond st a job =
+  let route, ok, response =
     match job with
-    | Immediate { route; ok; response; latency_s } ->
-        (route, ok, response, latency_s)
+    | Immediate { route; ok; response } -> (route, ok, response)
     | Solve { id; request; fingerprint; cached = Some rendering } ->
         ( Protocol.route request,
           true,
           result_response ~id ~route:(Protocol.route request) ~fingerprint
-            ~cached:true ~rendering,
-          0. )
+            ~cached:true ~rendering )
     | Solve { cached = None; _ } -> invalid_arg "Daemon.respond: unsolved job"
   in
+  let { conn; ordinal; admitted_at; line = _ } = a in
   (* Chaos: a deterministically chosen response is never written — the
      connection drops instead, as if the network gave out. *)
-  if io_fires st Resilience.Chaos.Drop ~ordinal then Conn.close conn;
+  if io_fires Resilience.Chaos.Drop ~ordinal then Conn.close conn;
   let record wrote =
-    Metrics.record st.metrics ~route ~ok:(ok && wrote) ~latency_s
+    Metrics.record st.metrics ~route ~ok:(ok && wrote)
+      ~latency_s:(Metrics.now_s () -. admitted_at);
+    Tracing.Tracer.complete ~id:ordinal ~label:route
+      Tracing.Span.Daemon_request ~since:admitted_at
   in
   let bytes = Json.encode response ^ "\n" in
-  if io_fires st Resilience.Chaos.Torn ~ordinal then begin
+  if io_fires Resilience.Chaos.Torn ~ordinal then begin
     (* Chaos: serve the bytes one write at a time, exercising every
        partial-write path without changing what the peer reads. *)
     let last = String.length bytes - 1 in
@@ -377,23 +353,23 @@ let respond st conn ~ordinal job =
   end
   else Conn.send ~on_done:record conn bytes;
   st.served <- st.served + 1;
-  Tracing.Tracer.complete ~id:ordinal ~label:route Tracing.Span.Daemon_request
-    ~since:(Tracing.Tracer.now_s () -. latency_s);
   if st.options.log_every > 0 && st.served mod st.options.log_every = 0 then
     log_line st
 
 (* Admission: assign the ordinal, stamp the arrival time, and either
    enqueue or — when the bounded queue is full — shed with a structured
-   error carrying a retry hint. Shedding answers immediately, out of
-   request order; the id lets pipelined clients correlate. *)
+   error carrying a retry hint. A shed request is admitted and answered
+   at once, out of request order; the id lets pipelined clients
+   correlate. *)
 let admit st ~shedding conn line =
-  let ordinal = st.admitted in
+  let a =
+    { conn; line; admitted_at = Metrics.now_s (); ordinal = st.admitted }
+  in
   st.admitted <- st.admitted + 1;
   let depth = Queue.length st.queue in
   if shedding && st.options.max_queue > 0 && depth >= st.options.max_queue
   then begin
-    st.hardening.shed <- st.hardening.shed + 1;
-    Tracing.Tracer.count Tracing.Span.Sheds;
+    Tracing.Counters.bump st.counters Sheds;
     let retry_after_ms =
       50 * (1 + (depth / Int.max 1 st.options.max_inflight))
     in
@@ -403,11 +379,9 @@ let admit st ~shedding conn line =
         (Printf.sprintf "admission queue full (%d queued)" depth)
     in
     if not (Conn.dead conn) then
-      respond st conn ~ordinal
-        (Immediate { route = "shed"; ok = false; response; latency_s = 0. })
+      respond st a (Immediate { route = "shed"; ok = false; response })
   end
-  else
-    Queue.push { conn; line; admitted_at = Metrics.now_s (); ordinal } st.queue
+  else Queue.push a st.queue
 
 (* Sampled dual execution: every [verify_sample]-th computed miss is
    re-executed and its response fingerprint compared before the
@@ -424,13 +398,12 @@ let verified st ~ordinal ~request outcome =
       st.misses <- st.misses + 1;
       if not sampled then outcome
       else begin
-        st.hardening.verify_checks <- st.hardening.verify_checks + 1;
-        Tracing.Tracer.count Tracing.Span.Verify_checks;
+        Tracing.Counters.bump st.counters Verify_checks;
         Tracing.Tracer.with_span ~id:ordinal ~label:"verify"
           Tracing.Span.Daemon_verify
         @@ fun () ->
         let confirmed =
-          match fst (compute request) with
+          match compute request with
           | Ok second ->
               String.equal
                 (response_fingerprint rendering)
@@ -439,23 +412,21 @@ let verified st ~ordinal ~request outcome =
         in
         if confirmed then outcome
         else begin
-          st.hardening.verify_divergences <-
-            st.hardening.verify_divergences + 1;
-          Tracing.Tracer.count Tracing.Span.Verify_divergences;
+          Tracing.Counters.bump st.counters Verify_divergences;
           Tracing.Tracer.with_span ~id:ordinal ~label:"reexec"
-            Tracing.Span.Daemon_verify (fun () -> fst (compute request))
+            Tracing.Span.Daemon_verify (fun () -> compute request)
         end
       end
 
 (* Chaos: corrupt a computed response before verification, so the soak
    can prove divergences are caught, never shipped. *)
-let maybe_corrupt st ~ordinal outcome =
+let maybe_corrupt ~ordinal outcome =
   match outcome with
   | Error _ -> outcome
   | Ok (rendering : Render.rendering) -> (
       match Resilience.Chaos.io_active () with
       | Some io
-        when io.corrupt_p > 0. && io_fires st Resilience.Chaos.Corrupt ~ordinal
+        when io.corrupt_p > 0. && io_fires Resilience.Chaos.Corrupt ~ordinal
         ->
           Ok
             {
@@ -469,8 +440,7 @@ let maybe_corrupt st ~ordinal outcome =
 let past_deadline st age = st.options.deadline_ms > 0 && age > st.deadline_s
 
 let deadline_error st ~id ~age phase =
-  st.hardening.deadline_exceeded <- st.hardening.deadline_exceeded + 1;
-  Tracing.Tracer.count Tracing.Span.Deadline_timeouts;
+  Tracing.Counters.bump st.counters Deadline_timeouts;
   Protocol.error_response ~id ~code:"deadline_exceeded"
     ~extra:
       [
@@ -481,10 +451,10 @@ let deadline_error st ~id ~age phase =
 
 (* Verify, cache and package one computed miss. Committed results only:
    a divergent primary never reaches the cache or the wire. *)
-let commit st a ~id ~request ~fingerprint (outcome, latency_s) =
+let commit st a ~id ~request ~fingerprint outcome =
   let outcome =
     verified st ~ordinal:a.ordinal ~request
-      (maybe_corrupt st ~ordinal:a.ordinal outcome)
+      (maybe_corrupt ~ordinal:a.ordinal outcome)
   in
   let route = Protocol.route request in
   let response, ok =
@@ -501,7 +471,7 @@ let commit st a ~id ~request ~fingerprint (outcome, latency_s) =
     | Error message ->
         (Protocol.error_response ~id ~code:"internal" message, false)
   in
-  Immediate { route; ok; response; latency_s }
+  Immediate { route; ok; response }
 
 (* Resolve up to [max_inflight] queued requests: expire the ones already
    past their deadline, classify the rest on the dispatcher (cache
@@ -524,7 +494,6 @@ let process st =
                 ok = false;
                 response =
                   deadline_error st ~id:(request_id a.line) ~age "queued";
-                latency_s = age;
               } )
         else (a, classify st ~ordinal:a.ordinal a.line))
       (take st.options.max_inflight [])
@@ -557,11 +526,11 @@ let process st =
               | x :: rest ->
                   solved := rest;
                   x
-              | [] -> (Error "dispatch underflow", 0.)
+              | [] -> Error "dispatch underflow"
             in
             commit st a ~id ~request ~fingerprint x
       in
-      if not (Conn.dead a.conn) then respond st a.conn ~ordinal:a.ordinal job)
+      if not (Conn.dead a.conn) then respond st a job)
     classified
 
 (* ------------------------------------------------------------------ *)
@@ -592,9 +561,7 @@ let poll st ?listeners ~timeout () =
     Conn.poll ?listeners st.conns ~give_up_s:st.give_up_s ~timeout
   in
   List.iter
-    (fun _ ->
-      st.hardening.io_timeouts <- st.hardening.io_timeouts + 1;
-      Tracing.Tracer.count Tracing.Span.Io_timeouts)
+    (fun _ -> Tracing.Counters.bump st.counters Io_timeouts)
     events.timed_out;
   st.conns <- st.conns @ events.accepted
 
@@ -649,6 +616,9 @@ let drain st =
   st.conns <- []
 
 let validate options =
+  Result.bind
+    (Conn.check_endpoints ~port:options.port ~socket_path:options.socket_path)
+  @@ fun () ->
   if options.cache_entries < 0 then Error "--cache-entries must be >= 0"
   else if options.max_request_bytes < 2 then
     Error "--max-request-bytes must be at least 2"
@@ -675,7 +645,7 @@ let serve ?pool ?on_ready options listeners =
       listeners;
       cache = Lru.create ~capacity:options.cache_entries;
       metrics = Metrics.create ();
-      hardening = fresh_hardening ();
+      counters = Tracing.Counters.create ();
       domains = Parallel.Pool.domains pool;
       give_up_s =
         (if options.io_timeout_ms = 0 then infinity

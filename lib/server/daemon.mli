@@ -50,10 +50,22 @@
     corrupted computation is caught before it reaches the wire or the
     cache. Worker-domain deaths below the daemon are handled by the
     pool's supervisor ([Parallel.Pool]); restarts surface in the
-    [health] route. Every event counts into [health]/[stats]
-    ([shed], [deadline_exceeded], [io_timeouts], [verify.checks],
-    [verify.divergences], [workers.restarts]) and into the matching
-    trace counters.
+    [health] route.
+
+    {2 Telemetry}
+
+    Each daemon owns one counter registry ({!Tracing.Counters}). Every
+    event is counted once, by one call that also counts it in the
+    active trace session: cache hits and misses, sheds, deadline
+    expiries, I/O timeouts, verify checks and divergences. [health]
+    and [stats] read the registry ([shed], [deadline_exceeded],
+    [io_timeouts], [verify.checks], [verify.divergences],
+    [cache.hits], [cache.misses], [cache.hit_rate]); [workers.restarts]
+    is the pool's own registry. A request's latency is measured once,
+    from its admission to the moment its last byte is written or its
+    connection dies, and the same interval feeds the [stats] latency
+    of its route and its [daemon.request] trace span. A shed request
+    is admitted and answered at once.
 
     {2 Shutdown}
 
@@ -114,6 +126,12 @@ val default_options : options
 val stop : unit -> unit
 (** Request a graceful drain of the running daemon; safe to call from
     a signal handler or another domain. *)
+
+val validate : options -> (unit, string) result
+(** [Error] naming the offending flag: the endpoints
+    ({!Conn.check_endpoints}), then every numeric option. {!run} calls
+    it first; the CLI calls it before anything starts, so an invalid
+    option is a usage error. *)
 
 val run :
   ?pool:Parallel.Pool.t -> ?on_ready:(unit -> unit) -> options ->

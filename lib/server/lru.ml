@@ -13,8 +13,6 @@ type 'a t = {
   table : (string, 'a node) Hashtbl.t;
   mutable head : 'a node option;
   mutable tail : 'a node option;
-  mutable hit_count : int;
-  mutable miss_count : int;
 }
 
 let create ~capacity =
@@ -24,8 +22,6 @@ let create ~capacity =
     table = Hashtbl.create (max 16 capacity);
     head = None;
     tail = None;
-    hit_count = 0;
-    miss_count = 0;
   }
 
 let unlink t node =
@@ -47,13 +43,10 @@ let push_front t node =
 let find t key =
   match Hashtbl.find_opt t.table key with
   | Some node ->
-      t.hit_count <- t.hit_count + 1;
       unlink t node;
       push_front t node;
       Some node.value
-  | None ->
-      t.miss_count <- t.miss_count + 1;
-      None
+  | None -> None
 
 let add t key value =
   if t.cap > 0 then
@@ -76,9 +69,3 @@ let add t key value =
 
 let length t = Hashtbl.length t.table
 let capacity t = t.cap
-let hits t = t.hit_count
-let misses t = t.miss_count
-
-let hit_rate t =
-  let total = t.hit_count + t.miss_count in
-  if total = 0 then 0. else float_of_int t.hit_count /. float_of_int total

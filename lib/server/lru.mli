@@ -1,13 +1,13 @@
-(** Size-bounded LRU result cache with hit/miss accounting.
+(** Size-bounded LRU result cache.
 
     Keys are request fingerprints (see [Server.Protocol]); values are
     the cached responses. O(1) lookup, insert and eviction via a
     hash table over an intrusive doubly-linked recency list.
 
     Not domain-safe: the daemon confines every cache access to the
-    dispatcher domain (lookups before fan-out, inserts after), which
-    also keeps hit/miss accounting deterministic for a given request
-    sequence. *)
+    dispatcher domain (lookups before fan-out, inserts after). The
+    cache counts nothing: the daemon counts its hits and misses in its
+    own counter registry. *)
 
 type 'a t
 
@@ -17,18 +17,11 @@ val create : capacity:int -> 'a t
     @raise Invalid_argument if [capacity < 0]. *)
 
 val find : 'a t -> string -> 'a option
-(** Lookup, promoting the entry to most-recently-used and counting a
-    hit or a miss. *)
+(** Lookup, promoting the entry to most-recently-used. *)
 
 val add : 'a t -> string -> 'a -> unit
 (** Insert or replace as most-recently-used, evicting the
-    least-recently-used entry when full. Does not touch the hit/miss
-    counters. *)
+    least-recently-used entry when full. *)
 
 val length : 'a t -> int
 val capacity : 'a t -> int
-val hits : 'a t -> int
-val misses : 'a t -> int
-
-val hit_rate : 'a t -> float
-(** [hits / (hits + misses)]; [0.] before any lookup. *)

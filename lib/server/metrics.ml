@@ -123,7 +123,4 @@ let totals t =
     accs;
   stats_of "total" total (List.map ring_samples accs)
 
-let total_requests t =
-  Hashtbl.fold (fun _ (acc : route_acc) n -> n + acc.requests) t.table 0
-
 let uptime_s t = Unix.gettimeofday () -. t.started_at

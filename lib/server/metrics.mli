@@ -42,5 +42,4 @@ val totals : t -> route_stats
 (** Aggregate over every route, under the name ["total"]; the
     percentile is taken over the union of the per-route windows. *)
 
-val total_requests : t -> int
 val uptime_s : t -> float

@@ -91,12 +91,6 @@ type shard = {
   mutable down : bool;
 }
 
-type counters = {
-  mutable routed : int;
-  mutable failovers : int;
-  mutable replayed : int;
-}
-
 (* ------------------------------------------------------------------ *)
 (* Id rewriting and response splicing                                  *)
 
@@ -198,15 +192,13 @@ let in_flight shards =
     0 shards
 
 let router_json ~counters ~shards =
-  let respawns =
-    Array.fold_left (fun acc s -> acc + s.worker.Supervisor.respawns) 0 shards
-  in
+  let count c = Json.Int (Tracing.Counters.get counters c) in
   Json.Obj
     [
-      ("routed", Json.Int counters.routed);
-      ("failovers", Json.Int counters.failovers);
-      ("respawns", Json.Int respawns);
-      ("replayed", Json.Int counters.replayed);
+      ("routed", count Router_routed);
+      ("failovers", count Router_failovers);
+      ("respawns", count Shard_respawns);
+      ("replayed", count Router_replays);
       ("in_flight", Json.Int (in_flight shards));
     ]
 
@@ -326,7 +318,7 @@ type state = {
   options : options;
   listeners : Conn.listener list;
   runtime_dir : string;
-  counters : counters;
+  counters : Tracing.Counters.t;
   map : Shard_map.t;
   shards : shard array;
   probe_timeout_s : float;
@@ -469,9 +461,9 @@ let abandon_shard st shard =
    tick). *)
 let failover st ~reason shard =
   let index = shard.worker.Supervisor.index in
-  st.counters.failovers <- st.counters.failovers + 1;
-  Tracing.Tracer.count Tracing.Span.Router_failovers;
-  Tracing.Tracer.with_span ~id:st.counters.failovers
+  Tracing.Counters.bump st.counters Router_failovers;
+  Tracing.Tracer.with_span
+    ~id:(Tracing.Counters.get st.counters Router_failovers)
     ~label:(Printf.sprintf "shard%d" index)
     Tracing.Span.Router_failover
   @@ fun () ->
@@ -495,7 +487,7 @@ let failover st ~reason shard =
   | Ok () -> (
       shard.down <- false;
       shard.worker.Supervisor.respawns <- shard.worker.Supervisor.respawns + 1;
-      Tracing.Tracer.count Tracing.Span.Shard_respawns;
+      Tracing.Counters.bump st.counters Shard_respawns;
       let replayed = ref 0 in
       List.iter
         (fun entry ->
@@ -504,8 +496,7 @@ let failover st ~reason shard =
             incr replayed
           end)
         shard.entries;
-      st.counters.replayed <- st.counters.replayed + !replayed;
-      Tracing.Tracer.count ~n:!replayed Tracing.Span.Router_replays;
+      Tracing.Counters.bump st.counters ~n:!replayed Router_replays;
       match send_pending shard with
       | Ok () -> ()
       | Error _ ->
@@ -573,8 +564,7 @@ let route_line st client line =
       | Ok Protocol.Stats -> fanout st client ~id "stats"
       | Ok request ->
           let index = Shard_map.lookup st.map (Protocol.fingerprint request) in
-          st.counters.routed <- st.counters.routed + 1;
-          Tracing.Tracer.count Tracing.Span.Router_routed;
+          Tracing.Counters.bump st.counters Router_routed;
           let shard = st.shards.(index) in
           if shard.down then
             answer
@@ -700,8 +690,11 @@ let drain st =
   st.clients <- []
 
 let validate (options : options) =
-  if options.shards < 1 then Error "--shards must be >= 1"
-  else if options.shards > 64 then Error "--shards must be <= 64"
+  Result.bind
+    (Conn.check_endpoints ~port:options.port ~socket_path:options.socket_path)
+  @@ fun () ->
+  if options.shards < 1 || options.shards > 64 then
+    Error "--shards must be in 1..64"
   else if options.spawn_timeout_ms < 1 then
     Error "--shard-spawn-timeout-ms must be >= 1"
   else if options.max_request_bytes < 2 then
@@ -714,7 +707,7 @@ let create (options : options) listeners =
     options;
     listeners;
     runtime_dir;
-    counters = { routed = 0; failovers = 0; replayed = 0 };
+    counters = Tracing.Counters.create ();
     map = Shard_map.create ~shards:options.shards;
     shards =
       Array.init options.shards (fun i ->

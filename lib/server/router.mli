@@ -8,8 +8,8 @@
     spawns [shards] worker processes, each a plain [rexspeed serve]
     daemon on a private Unix socket in a per-run runtime directory.
     Workers are shared-nothing: each has its own LRU cache, its own
-    domain pool, its own hardening counters. One persistent pipelined
-    connection links the router to each worker.
+    domain pool and its own counter registry ({!Tracing.Counters}). One
+    persistent pipelined connection links the router to each worker.
 
     Like the daemon, the router is a request handler over {!Conn}: one
     [select] per sweep covers the public listeners, every client and
@@ -27,7 +27,10 @@
     that has seen it before. [health] and [stats] fan out to every
     live worker and aggregate into a fleet-wide response that keeps
     each per-shard report under a [shard] array and adds a [router]
-    section (routed/failovers/respawns/replayed counters).
+    section: the routed/failovers/respawns/replayed counts of the
+    router's own registry, where each event is counted by one call that
+    also reaches the trace session. Respawns are also kept per worker,
+    for the [shard] entries of [health].
 
     {2 Correlation and byte identity}
 
@@ -85,6 +88,12 @@ val stop : unit -> unit
 (** Request a graceful drain: answer everything in flight, SIGTERM the
     workers, clean up sockets. Safe from a signal handler or another
     domain. *)
+
+val validate : options -> (unit, string) result
+(** [Error] naming the offending flag: the endpoints
+    ({!Conn.check_endpoints}), then [shards] in 1..64, the spawn
+    timeout and the request size limit. {!run} calls it first. The
+    workers' own options are the daemon's ({!Daemon.validate}). *)
 
 val run : ?on_ready:(unit -> unit) -> options -> (unit, string) result
 (** Spawn the fleet and route until drained. [on_ready] fires once the

@@ -17,10 +17,26 @@ type outcome = {
 
 type attempt_result = Success | Silent_detected | Fail_stop_struck
 
-let record trace machine segment =
-  match trace with
+let run_segment ~trace machine ~speed (segment : Trace.segment) =
+  (match trace with
   | None -> ()
-  | Some b -> Trace.record b ~at:(Machine.clock machine) segment
+  | Some b -> Trace.record b ~at:(Machine.clock machine) segment);
+  let phase : Tracing.Span.category =
+    match segment with
+    | Compute _ | Fail_stop _ -> Work
+    | Verify _ -> Verify
+    | Checkpoint _ -> Checkpoint
+    | Recovery _ -> Recover
+  in
+  Tracing.Tracer.phase_begin phase;
+  (match segment with
+  | Compute { duration; _ }
+  | Verify { duration; _ }
+  | Fail_stop { elapsed = duration } ->
+      Machine.advance_compute machine ~speed ~duration
+  | Checkpoint { duration } | Recovery { duration } ->
+      Machine.advance_io machine ~duration);
+  Tracing.Tracer.phase_end phase
 
 (* One attempt at [speed]: m segments of w/m work, each verified; stop
    at the first fail-stop strike or failed verification; checkpoint
@@ -33,49 +49,31 @@ let attempt ~trace ~(model : Core.Mixed.t) ~machine ~rng ~fail_process
   let compute_time = segment_work /. speed in
   let verify_time = model.v /. speed in
   let exposure = compute_time +. verify_time in
-  (* Paper-phase spans mirror the [Trace] segments one-to-one; the
-     tracer gates them on the ambient (sampled) replication, so while
-     no sampled replication is running each call is one atomic load. *)
+  (* Each segment is one call: recorded, then run inside its phase
+     span. Full applications, not a closure per attempt: this is the
+     Monte-Carlo replica path. *)
   let rec segment i =
     match Fault.strikes_within fail_process rng ~duration:exposure with
     | Some elapsed ->
-        record trace machine (Trace.Fail_stop { elapsed });
-        Tracing.Tracer.phase_begin Tracing.Span.Work;
-        Machine.advance_compute machine ~speed ~duration:elapsed;
-        Tracing.Tracer.phase_end Tracing.Span.Work;
-        record trace machine (Trace.Recovery { duration = model.r });
-        Tracing.Tracer.phase_begin Tracing.Span.Recover;
-        Machine.advance_io machine ~duration:model.r;
-        Tracing.Tracer.phase_end Tracing.Span.Recover;
+        run_segment ~trace machine ~speed (Fail_stop { elapsed });
+        run_segment ~trace machine ~speed (Recovery { duration = model.r });
         Fail_stop_struck
     | None ->
         let silent =
           Fault.strikes_within silent_process rng ~duration:compute_time
           <> None
         in
-        record trace machine
-          (Trace.Compute { speed; duration = compute_time; work = segment_work });
-        Tracing.Tracer.phase_begin Tracing.Span.Work;
-        Machine.advance_compute machine ~speed ~duration:compute_time;
-        Tracing.Tracer.phase_end Tracing.Span.Work;
-        record trace machine
-          (Trace.Verify { speed; duration = verify_time; passed = not silent });
-        Tracing.Tracer.phase_begin Tracing.Span.Verify;
-        Machine.advance_compute machine ~speed ~duration:verify_time;
-        Tracing.Tracer.phase_end Tracing.Span.Verify;
+        run_segment ~trace machine ~speed
+          (Compute { speed; duration = compute_time; work = segment_work });
+        run_segment ~trace machine ~speed
+          (Verify { speed; duration = verify_time; passed = not silent });
         if silent then begin
-          record trace machine (Trace.Recovery { duration = model.r });
-          Tracing.Tracer.phase_begin Tracing.Span.Recover;
-          Machine.advance_io machine ~duration:model.r;
-          Tracing.Tracer.phase_end Tracing.Span.Recover;
+          run_segment ~trace machine ~speed (Recovery { duration = model.r });
           Silent_detected
         end
         else if i < verifications then segment (i + 1)
         else begin
-          record trace machine (Trace.Checkpoint { duration = model.c });
-          Tracing.Tracer.phase_begin Tracing.Span.Checkpoint;
-          Machine.advance_io machine ~duration:model.c;
-          Tracing.Tracer.phase_end Tracing.Span.Checkpoint;
+          run_segment ~trace machine ~speed (Checkpoint { duration = model.c });
           Success
         end
   in

@@ -35,6 +35,18 @@ type outcome = {
   fail_stop_errors : int;
 }
 
+val run_segment :
+  trace:Trace.builder option -> Machine.t -> speed:float -> Trace.segment ->
+  unit
+(** Run one segment of an attempt at [speed]: record it in [trace] at
+    the machine's clock, then advance the machine through it inside
+    its paper-phase span ({!Tracing.Tracer.phase_begin}). [Compute] and
+    [Fail_stop] are {!Tracing.Span.Work}, [Verify] is [Verify],
+    [Checkpoint] is [Checkpoint] and [Recovery] is [Recover]. Compute,
+    verification and a fail-stop's [elapsed] run at [speed];
+    checkpoint and recovery are I/O. Both simulators' attempts are
+    sequences of these calls. *)
+
 val run_pattern :
   ?trace:Trace.builder -> ?verifications:int -> ?fail_process:Fault.t ->
   ?silent_process:Fault.t -> model:Core.Mixed.t -> machine:Machine.t ->

@@ -70,11 +70,6 @@ type attempt_result =
   | Silent of int list
   | Crashed of int * float
 
-let record trace machine segment =
-  match trace with
-  | None -> ()
-  | Some b -> Trace.record b ~at:(Machine.clock machine) segment
-
 (* One coordinated attempt at [speed]: every node computes for
    [w/speed] and verifies for [v/speed] wall-clock. Per-node arrivals
    go through the event queue; the earliest decisive event settles the
@@ -107,32 +102,21 @@ let attempt ~trace t ~machine ~rng ~w ~speed =
     | Some (_, Corruption node) -> settle (node :: corrupted)
     | None -> if corrupted = [] then Success else Silent (List.rev corrupted)
   in
+  let run = Executor.run_segment ~trace machine ~speed in
   match settle [] with
   | Crashed (node, at) ->
-      record trace machine (Trace.Fail_stop { elapsed = at });
-      Machine.advance_compute machine ~speed ~duration:at;
-      record trace machine (Trace.Recovery { duration = t.r });
-      Machine.advance_io machine ~duration:t.r;
+      run (Fail_stop { elapsed = at });
+      run (Recovery { duration = t.r });
       Crashed (node, at)
   | Silent corrupted_nodes ->
-      record trace machine
-        (Trace.Compute { speed; duration = compute_wall; work = w });
-      Machine.advance_compute machine ~speed ~duration:compute_wall;
-      record trace machine
-        (Trace.Verify { speed; duration = verify_wall; passed = false });
-      Machine.advance_compute machine ~speed ~duration:verify_wall;
-      record trace machine (Trace.Recovery { duration = t.r });
-      Machine.advance_io machine ~duration:t.r;
+      run (Compute { speed; duration = compute_wall; work = w });
+      run (Verify { speed; duration = verify_wall; passed = false });
+      run (Recovery { duration = t.r });
       Silent corrupted_nodes
   | Success ->
-      record trace machine
-        (Trace.Compute { speed; duration = compute_wall; work = w });
-      Machine.advance_compute machine ~speed ~duration:compute_wall;
-      record trace machine
-        (Trace.Verify { speed; duration = verify_wall; passed = true });
-      Machine.advance_compute machine ~speed ~duration:verify_wall;
-      record trace machine (Trace.Checkpoint { duration = t.c });
-      Machine.advance_io machine ~duration:t.c;
+      run (Compute { speed; duration = compute_wall; work = w });
+      run (Verify { speed; duration = verify_wall; passed = true });
+      run (Checkpoint { duration = t.c });
       Success
 
 let run_pattern ?trace t ~machine ~rng ~w ~sigma1 ~sigma2 () =

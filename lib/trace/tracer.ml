@@ -188,5 +188,3 @@ let count ?(n = 1) counter =
   | Some session ->
       ignore
         (Atomic.fetch_and_add session.counters.(Span.counter_index counter) n)
-
-let now_s = Clock.now_s

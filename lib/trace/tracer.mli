@@ -73,13 +73,10 @@ val phase_end : Span.category -> unit
 (** Close the innermost open paper-phase span of this category. *)
 
 val complete : id:int -> ?label:string -> Span.category -> since:float -> unit
-(** Record an already-elapsed span from [since] (a {!now_s} reading)
-    to now, e.g. a daemon request whose admission time was captured
-    before the response was written. *)
+(** Record an already-elapsed span from [since], in seconds since the
+    Unix epoch, to now: a daemon request from its admission to its
+    last byte written. *)
 
 val count : ?n:int -> Span.counter -> unit
-(** Bump a counter by [n] (default 1). *)
-
-val now_s : unit -> float
-(** The tracing clock, re-exported for callers that capture a start
-    time for {!complete}. *)
+(** Bump a counter by [n] (default 1). Events that an owner also
+    reports go through {!Counters.bump} instead. *)

@@ -483,6 +483,79 @@ let test_multi_verification_early_detection () =
     o.Sim.Executor.time;
   Alcotest.(check int) "one silent error" 1 o.Sim.Executor.silent_errors
 
+(* One silent error, then one fail-stop, then a clean pass over two
+   verified segments: the executor's segment stream and its phase spans
+   are pinned event for event. *)
+let scripted_pattern () =
+  let model =
+    Core.Mixed.make ~c:10. ~r:10. ~v:2. ~lambda_f:1e-3 ~lambda_s:1e-3 ()
+  in
+  let trace = Sim.Trace.builder () in
+  let o =
+    Sim.Executor.run_pattern ~trace ~verifications:2
+      ~fail_process:(Sim.Fault.scripted ~arrivals:[ 1e9; 5. ])
+      ~silent_process:(Sim.Fault.scripted ~arrivals:[ 1. ])
+      ~model ~machine:(Sim.Machine.create power) ~rng:(Prng.Rng.create ~seed:1)
+      ~w:100. ~sigma1:0.5 ~sigma2:1. ()
+  in
+  (o, Sim.Trace.finish trace)
+
+let test_scripted_segment_stream () =
+  let o, events = scripted_pattern () in
+  let open Sim.Trace in
+  let event at segment = { at; segment } in
+  let expected =
+    [
+      event 0. (Compute { speed = 0.5; duration = 100.; work = 50. });
+      event 100. (Verify { speed = 0.5; duration = 4.; passed = false });
+      event 104. (Recovery { duration = 10. });
+      event 114. (Fail_stop { elapsed = 5. });
+      event 119. (Recovery { duration = 10. });
+      event 129. (Compute { speed = 1.; duration = 50.; work = 50. });
+      event 179. (Verify { speed = 1.; duration = 2.; passed = true });
+      event 181. (Compute { speed = 1.; duration = 50.; work = 50. });
+      event 231. (Verify { speed = 1.; duration = 2.; passed = true });
+      event 233. (Checkpoint { duration = 10. });
+    ]
+  in
+  let show t = Format.asprintf "%a" pp t in
+  Alcotest.(check string) "segment stream" (show expected) (show events);
+  Alcotest.(check bool) "segment stream, bit for bit" true (events = expected);
+  checkf "pattern time" 243. o.Sim.Executor.time;
+  (* Inside a sampled traced task, each segment is one phase span and
+     each re-execution one reexec span around its attempt. *)
+  Tracing.Tracer.start ~sample_every:1 ();
+  let dump =
+    Fun.protect
+      ~finally:(fun () -> ignore (Tracing.Tracer.finish ()))
+      (fun () ->
+        ignore (Tracing.Tracer.with_task ~index:0 scripted_pattern);
+        Option.get (Tracing.Tracer.finish ()))
+  in
+  let spans = Tracing.Export.spans_of dump in
+  Alcotest.(check int) "balanced" 0 (Tracing.Export.unmatched dump);
+  Alcotest.(check (list (pair string int)))
+    "phase spans per category"
+    [
+      ("work", 4);
+      ("verify", 3);
+      ("checkpoint", 1);
+      ("recover", 2);
+      ("reexec", 2);
+      ("pool.task", 1);
+    ]
+    (List.filter_map
+       (fun c ->
+         match
+           List.length
+             (List.filter
+                (fun (s : Tracing.Export.span) -> s.category = c)
+                spans)
+         with
+         | 0 -> None
+         | n -> Some (Tracing.Span.category_name c, n))
+       Tracing.Span.all_categories)
+
 (* ------------------------------------------------------------------ *)
 (* Monte-Carlo vs the closed forms                                     *)
 
@@ -668,6 +741,8 @@ let () =
             test_multi_verification_pattern;
           Alcotest.test_case "multi-verification early detection" `Quick
             test_multi_verification_early_detection;
+          Alcotest.test_case "scripted segment stream and phase spans" `Quick
+            test_scripted_segment_stream;
         ] );
       ( "montecarlo",
         [

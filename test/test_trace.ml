@@ -338,6 +338,52 @@ let test_summary () =
       Alcotest.(check bool) ("summary mentions " ^ sub) true (contains sub))
     [ "pool.task"; "work"; "verify"; "cache.hits" ]
 
+(* ------------------------------------------------------------------ *)
+(* Counter registry                                                    *)
+(* ------------------------------------------------------------------ *)
+
+let session_count dump counter =
+  List.assoc counter dump.Tracing.Tracer.counters
+
+let test_counters_per_owner () =
+  let a = Tracing.Counters.create () and b = Tracing.Counters.create () in
+  Tracing.Counters.bump a Tracing.Span.Sheds;
+  Tracing.Counters.bump a ~n:3 Tracing.Span.Sheds;
+  Tracing.Counters.bump b Tracing.Span.Cache_hits;
+  Alcotest.(check (list int))
+    "each owner counts its own bumps" [ 4; 0; 0; 1 ]
+    Tracing.Counters.
+      [
+        get a Tracing.Span.Sheds;
+        get a Tracing.Span.Cache_hits;
+        get b Tracing.Span.Sheds;
+        get b Tracing.Span.Cache_hits;
+      ]
+
+let test_counters_without_session () =
+  let owner = Tracing.Counters.create () in
+  Tracing.Counters.bump owner ~n:5 Tracing.Span.Router_routed;
+  Alcotest.(check int) "owner counted" 5
+    (Tracing.Counters.get owner Tracing.Span.Router_routed);
+  (* A session started afterwards starts from zero: the earlier bumps
+     reached no session. *)
+  let (), dump = traced (fun () -> ()) in
+  Alcotest.(check int) "no session saw them" 0
+    (session_count dump Tracing.Span.Router_routed)
+
+let test_counters_during_session () =
+  let owner = Tracing.Counters.create () in
+  Tracing.Counters.bump owner Tracing.Span.Verify_checks;
+  let (), dump =
+    traced (fun () ->
+        Tracing.Counters.bump owner Tracing.Span.Verify_checks;
+        Tracing.Counters.bump owner ~n:2 Tracing.Span.Verify_checks)
+  in
+  Alcotest.(check int) "owner counts every bump" 4
+    (Tracing.Counters.get owner Tracing.Span.Verify_checks);
+  Alcotest.(check int) "the dump counts the session's bumps" 3
+    (session_count dump Tracing.Span.Verify_checks)
+
 let () =
   Alcotest.run "trace"
     [
@@ -348,6 +394,14 @@ let () =
           Alcotest.test_case "phase sampling" `Quick test_sampling;
           Alcotest.test_case "unsampled task allocates nothing" `Quick
             test_unsampled_task_allocates_nothing;
+        ] );
+      ( "counters",
+        [
+          Alcotest.test_case "per owner" `Quick test_counters_per_owner;
+          Alcotest.test_case "no session: owner only" `Quick
+            test_counters_without_session;
+          Alcotest.test_case "session: owner and dump" `Quick
+            test_counters_during_session;
         ] );
       ( "export",
         [
