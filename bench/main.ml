@@ -534,6 +534,32 @@ let reproduce_resilience () =
 
 (* ------------------------------------------------------------------ *)
 
+(* Blocking reader of the newline-terminated response lines a daemon
+   sends back on [fd]. Each line is cut out of the bytes not yet
+   returned, which are copied again only when more are read: the
+   client's cost stays linear in a pipelined batch, so the timed
+   rounds measure the daemon rather than the reader. *)
+let line_reader ~what fd =
+  let chunk = Bytes.create 65536 in
+  let unread = ref "" and start = ref 0 in
+  let rec read_line () =
+    match String.index_from_opt !unread !start '\n' with
+    | Some i ->
+        let line = String.sub !unread !start (i - !start) in
+        start := i + 1;
+        line
+    | None -> (
+        match Unix.read fd chunk 0 (Bytes.length chunk) with
+        | 0 -> failwith (what ^ ": connection closed mid-batch")
+        | got ->
+            unread :=
+              String.sub !unread !start (String.length !unread - !start)
+              ^ Bytes.sub_string chunk 0 got;
+            start := 0;
+            read_line ())
+  in
+  read_line
+
 let reproduce_serve () =
   section "Serve daemon — req/s and cache-hit speedup over a Unix socket";
   let n = 64 in
@@ -592,26 +618,8 @@ let reproduce_serve () =
         off := !off + Unix.write fd bytes !off (len - !off)
       done
     in
-    (* Streaming line reader: the responses of a pipelined batch come
-       back in request order. *)
-    let pending = Buffer.create 65536 in
-    let chunk = Bytes.create 65536 in
-    let rec read_line () =
-      match String.index_opt (Buffer.contents pending) '\n' with
-      | Some i ->
-          let all = Buffer.contents pending in
-          let line = String.sub all 0 i in
-          Buffer.clear pending;
-          Buffer.add_substring pending all (i + 1)
-            (String.length all - i - 1);
-          line
-      | None -> (
-          match Unix.read fd chunk 0 (Bytes.length chunk) with
-          | 0 -> failwith "serve bench: connection closed mid-batch"
-          | n ->
-              Buffer.add_subbytes pending chunk 0 n;
-              read_line ())
-    in
+    (* The responses of a pipelined batch come back in request order. *)
+    let read_line = line_reader ~what:"serve bench" fd in
     let first_output = ref "" in
     let round ~expect_cached =
       let t0 = Unix.gettimeofday () in
@@ -815,24 +823,7 @@ let reproduce_shards () =
             off := !off + Unix.write fd bytes !off (len - !off)
           done
         in
-        let pending = Buffer.create 65536 in
-        let chunk = Bytes.create 65536 in
-        let rec read_line () =
-          match String.index_opt (Buffer.contents pending) '\n' with
-          | Some i ->
-              let all = Buffer.contents pending in
-              let line = String.sub all 0 i in
-              Buffer.clear pending;
-              Buffer.add_substring pending all (i + 1)
-                (String.length all - i - 1);
-              line
-          | None -> (
-              match Unix.read fd chunk 0 (Bytes.length chunk) with
-              | 0 -> failwith "shard bench: connection closed mid-batch"
-              | got ->
-                  Buffer.add_subbytes pending chunk 0 got;
-                  read_line ())
-        in
+        let read_line = line_reader ~what:"shard bench" fd in
         let first_cold = ref "" in
         let round ~expect_cached =
           (* Timed: send the batch, collect the raw lines. Validation

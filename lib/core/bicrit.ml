@@ -69,13 +69,43 @@ let min_feasible_rho (env : Env.t) =
          Feasibility.rho_min env.params ~sigma1 ~sigma2)
   |> List.fold_left Float.min infinity
 
-let energy_saving_vs_single env ~rho =
-  match (solve ~mode:Two_speeds env ~rho, solve ~mode:Single_speed env ~rho) with
-  | Some two, Some one ->
-      let e2 = two.best.Optimum.energy_overhead in
-      let e1 = one.best.Optimum.energy_overhead in
+(* The single-speed problem's candidates are the pairs (s, s), solved
+   by the same Theorem-1 kernel, so they are the diagonal of any
+   result's candidates, in the same order; [best_of] then breaks ties
+   exactly as [solve ~mode:Single_speed] does. Speeds are strictly
+   increasing, so equal speeds mean one index. *)
+let diagonal_best r =
+  best_of
+    (List.filter
+       (fun (s : Optimum.solution) -> Float.equal s.sigma1 s.sigma2)
+       r.candidates)
+  |> Option.map fst
+
+(* When the diagonal optimum is [r.best] itself, its pair is solved
+   again exactly as [solve ~mode:Single_speed] solves it, speeds read
+   from the array: the same bits, in a record that shares no block
+   with [r.best], not even a boxed float. *)
+let single_speed_best (env : Env.t) ~rho r =
+  match diagonal_best r with
+  | Some s when s == r.best ->
+      let rec index i =
+        if Float.equal env.speeds.(i) s.sigma1 then i else index (i + 1)
+      in
+      let i = index 0 in
+      Optimum.solve_pair env.params env.power ~rho ~sigma1:env.speeds.(i)
+        ~sigma2:env.speeds.(i)
+  | best -> best
+
+let energy_saving r =
+  match diagonal_best r with
+  | None -> None
+  | Some one ->
+      let e2 = r.best.Optimum.energy_overhead in
+      let e1 = one.Optimum.energy_overhead in
       (* A zero single-speed overhead (possible with an all-zero power
          model) would turn the ratio into nan/inf and poison CSV rows
          downstream; report "no meaningful saving" instead. *)
       if Float.equal e1 0. then None else Some ((e1 -. e2) /. e1)
-  | None, _ | _, None -> None
+
+let energy_saving_vs_single env ~rho =
+  Option.bind (solve ~mode:Two_speeds env ~rho) energy_saving

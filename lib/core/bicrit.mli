@@ -53,8 +53,28 @@ val min_feasible_rho : Env.t -> float
 (** The smallest performance bound any speed pair can meet:
     [min over (i,j) of rho_(i,j)]. Below this, {!solve} returns [None]. *)
 
+val single_speed_best :
+  Env.t -> rho:float -> result -> Optimum.solution option
+(** [single_speed_best env ~rho result], where [result] is
+    [solve env ~rho]'s, is the one-speed optimum read off the diagonal
+    [sigma2 = sigma1] of [result]'s candidates instead of a second
+    solve. It equals [(solve ~mode:Single_speed env ~rho).best] bit
+    for bit, [None] included: the single-speed candidates are exactly
+    that diagonal, in the same order, and the minimum is taken with
+    {!solve}'s tie rule (first enumerated wins).
+
+    When the diagonal pair is [result.best] itself, that one pair is
+    solved again, so the record returned shares no block with
+    [result.best]: a record holding both marshals (with sharing, as
+    run journals do) exactly as two independent solves would. *)
+
+val energy_saving : result -> float option
+(** Relative energy saving of [result]'s optimum over its one-speed
+    optimum ({!single_speed_best}), [(E1 - E2) / E1]; [None] when no
+    diagonal pair is feasible or [E1] is zero (the ratio would be
+    undefined). *)
+
 val energy_saving_vs_single : Env.t -> rho:float -> float option
-(** Relative energy saving of the two-speed optimum over the one-speed
-    optimum, [(E1 - E2) / E1]; [None] when either problem is
-    infeasible or the one-speed overhead [E1] is zero (the ratio would
-    be undefined). This is the paper's headline "up to 35%" metric. *)
+(** {!energy_saving} of the two-speed solve: one solve, not two;
+    [None] when the problem is infeasible. This is the paper's
+    headline "up to 35%" metric. *)

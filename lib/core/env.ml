@@ -45,10 +45,23 @@ let with_p_idle t p_idle =
 
 let with_p_io t p_io = { t with power = Power.with_p_io t.power p_io }
 
+let add_text b t =
+  Buffer.add_string b "params: ";
+  Params.add_text b t.params;
+  Buffer.add_string b "\npower: ";
+  Power.add_text b t.power;
+  Buffer.add_string b "\nspeeds: ";
+  Array.iteri
+    (fun i s ->
+      if i > 0 then Buffer.add_string b ", ";
+      Report.Decimal.add_general b 6 s)
+    t.speeds
+
+(* The same lines in a vertical box, so they keep the indentation of
+   the column the box opens at. *)
 let pp ppf t =
-  Format.fprintf ppf "@[<v>params: %a@ power: %a@ speeds: %a@]" Params.pp
-    t.params Power.pp t.power
-    (Format.pp_print_seq
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-       (fun ppf s -> Format.fprintf ppf "%g" s))
-    (Array.to_seq t.speeds)
+  let b = Buffer.create 256 in
+  add_text b t;
+  Format.fprintf ppf "@[<v>%a@]"
+    (Format.pp_print_list Format.pp_print_string)
+    (String.split_on_char '\n' (Buffer.contents b))

@@ -37,4 +37,11 @@ val with_v : t -> float -> t
 val with_p_idle : t -> float -> t
 val with_p_io : t -> float -> t
 
+val add_text : Buffer.t -> t -> unit
+(** Appends the three-line environment dump, without a final newline:
+    ["params: "] and {!Params.add_text}, ["power: "] and
+    {!Power.add_text}, ["speeds: "] and the speeds in [%g] separated by
+    [", "]. No line is ever wrapped. *)
+
 val pp : Format.formatter -> t -> unit
+(** {!add_text}'s lines in a vertical box. *)

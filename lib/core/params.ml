@@ -26,5 +26,18 @@ let with_c ?(keep_r = false) t c =
 let with_r t r = make ~lambda:t.lambda ~c:t.c ~r ~v:t.v ()
 let with_v t v = make ~lambda:t.lambda ~c:t.c ~r:t.r ~v ()
 
+let add_text b t =
+  Buffer.add_string b "{lambda=";
+  Report.Decimal.add_general b 4 t.lambda;
+  Buffer.add_string b "; C=";
+  Report.Decimal.add_general b 6 t.c;
+  Buffer.add_string b "; R=";
+  Report.Decimal.add_general b 6 t.r;
+  Buffer.add_string b "; V=";
+  Report.Decimal.add_general b 6 t.v;
+  Buffer.add_char b '}'
+
 let pp ppf t =
-  Format.fprintf ppf "{lambda=%.4g; C=%g; R=%g; V=%g}" t.lambda t.c t.r t.v
+  let b = Buffer.create 64 in
+  add_text b t;
+  Format.pp_print_string ppf (Buffer.contents b)

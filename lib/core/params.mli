@@ -35,4 +35,8 @@ val with_c : ?keep_r:bool -> t -> float -> t
 val with_r : t -> float -> t
 val with_v : t -> float -> t
 
+val add_text : Buffer.t -> t -> unit
+(** Appends ["{lambda=%.4g; C=%g; R=%g; V=%g}"], the one definition
+    of the parameters' text; {!pp} prints the same bytes. *)
+
 val pp : Format.formatter -> t -> unit

@@ -23,6 +23,16 @@ let io_total t = t.p_idle +. t.p_io
 let with_p_idle t p_idle = make ~kappa:t.kappa ~p_idle ~p_io:t.p_io
 let with_p_io t p_io = make ~kappa:t.kappa ~p_idle:t.p_idle ~p_io
 
+let add_text b t =
+  Buffer.add_string b "{P(s)=";
+  Report.Decimal.add_general b 6 t.kappa;
+  Buffer.add_string b " s^3 + ";
+  Report.Decimal.add_general b 6 t.p_idle;
+  Buffer.add_string b " mW; Pio=";
+  Report.Decimal.add_general b 4 t.p_io;
+  Buffer.add_string b " mW}"
+
 let pp ppf t =
-  Format.fprintf ppf "{P(s)=%g s^3 + %g mW; Pio=%.4g mW}" t.kappa t.p_idle
-    t.p_io
+  let b = Buffer.create 64 in
+  add_text b t;
+  Format.pp_print_string ppf (Buffer.contents b)

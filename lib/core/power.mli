@@ -34,4 +34,8 @@ val io_total : t -> float
 val with_p_idle : t -> float -> t
 val with_p_io : t -> float -> t
 
+val add_text : Buffer.t -> t -> unit
+(** Appends ["{P(s)=%g s^3 + %g mW; Pio=%.4g mW}"], the one definition
+    of the power model's text; {!pp} prints the same bytes. *)
+
 val pp : Format.formatter -> t -> unit

@@ -339,7 +339,7 @@ let respond st a job =
     Tracing.Tracer.complete ~id:ordinal ~label:route
       Tracing.Span.Daemon_request ~since:admitted_at
   in
-  let bytes = Json.encode response ^ "\n" in
+  let bytes = Json.encode_line response in
   if io_fires Resilience.Chaos.Torn ~ordinal then begin
     (* Chaos: serve the bytes one write at a time, exercising every
        partial-write path without changing what the peer reads. *)
@@ -548,7 +548,7 @@ let enqueue_ready st ~shedding =
             | Conn.Too_large ->
                 let max_bytes = st.options.max_request_bytes in
                 Conn.send conn
-                  (Json.encode (Protocol.too_large ~max_bytes) ^ "\n");
+                  (Json.encode_line (Protocol.too_large ~max_bytes));
                 Metrics.record st.metrics ~route:"invalid" ~ok:false
                   ~latency_s:0.)
           (Conn.lines ~max_bytes:st.options.max_request_bytes conn))

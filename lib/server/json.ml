@@ -33,26 +33,41 @@ let float_repr v =
   then shortest
   else shortest ^ ".0"
 
+(* The escape of each byte, or "" for a byte copied as it is: the
+   quote, the backslash and the control characters are escaped, every
+   other byte (UTF-8 included) passes through. *)
+let escapes =
+  Array.init 256 (fun code ->
+      match Char.chr code with
+      | '"' -> "\\\""
+      | '\\' -> "\\\\"
+      | '\n' -> "\\n"
+      | '\r' -> "\\r"
+      | '\t' -> "\\t"
+      | '\b' -> "\\b"
+      | '\012' -> "\\f"
+      | _ when code < 0x20 -> Printf.sprintf "\\u%04x" code
+      | _ -> "")
+
+(* Copy each run of unescaped bytes with one blit. *)
 let escape_string buffer s =
   Buffer.add_char buffer '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buffer "\\\""
-      | '\\' -> Buffer.add_string buffer "\\\\"
-      | '\n' -> Buffer.add_string buffer "\\n"
-      | '\r' -> Buffer.add_string buffer "\\r"
-      | '\t' -> Buffer.add_string buffer "\\t"
-      | '\b' -> Buffer.add_string buffer "\\b"
-      | '\012' -> Buffer.add_string buffer "\\f"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buffer (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buffer c)
-    s;
+  let n = String.length s in
+  let rec scan run i =
+    if i = n then Buffer.add_substring buffer s run (i - run)
+    else
+      let e = Array.unsafe_get escapes (Char.code (String.unsafe_get s i)) in
+      if String.length e = 0 then scan run (i + 1)
+      else begin
+        Buffer.add_substring buffer s run (i - run);
+        Buffer.add_string buffer e;
+        scan (i + 1) (i + 1)
+      end
+  in
+  scan 0 0;
   Buffer.add_char buffer '"'
 
-let encode value =
-  let buffer = Buffer.create 256 in
+let encode_into buffer value =
   let rec go = function
     | Null -> Buffer.add_string buffer "null"
     | Bool b -> Buffer.add_string buffer (if b then "true" else "false")
@@ -78,7 +93,18 @@ let encode value =
           members;
         Buffer.add_char buffer '}'
   in
-  go value;
+  go value
+
+let encode value =
+  let buffer = Buffer.create 256 in
+  encode_into buffer value;
+  Buffer.contents buffer
+
+(* Sized for a rendered answer, under the minor heap's 2 KiB limit. *)
+let encode_line value =
+  let buffer = Buffer.create 2000 in
+  encode_into buffer value;
+  Buffer.add_char buffer '\n';
   Buffer.contents buffer
 
 (* ------------------------------------------------------------------ *)

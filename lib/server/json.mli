@@ -29,6 +29,10 @@ val encode : t -> string
     always a valid line of a newline-delimited protocol).
     @raise Invalid_argument on a non-finite [Float]. *)
 
+val encode_line : t -> string
+(** [encode v ^ "\n"], built in one buffer: a protocol line ready to
+    send, without copying the encoding to append its newline. *)
+
 type error = { position : int; message : string }
 (** [position] is the 0-based byte offset of the offending character
     (= input length when the input ends too early). *)

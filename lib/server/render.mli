@@ -7,7 +7,17 @@
     corresponding daemon routes all render through these functions.
     Anything that would change the CLI output changes the served
     output identically, and the smoke test only has to confirm the
-    plumbing. *)
+    plumbing.
+
+    Each rendering is written straight into one buffer: floats by
+    {!Report.Decimal}, tables by {!Report.Table.render_to}, the
+    environment by {!Core.Env.add_text}. The bytes are exactly those
+    the [Printf]/[Format] renderer wrote, and that is pinned, not only
+    argued: [test/cli/optimize.expected] (every configuration, both
+    modes, the infeasible exit, a 14-speed machine on the pool), a
+    digest of [optimize] and of its JSON encoding over 8 configurations
+    x 201 bounds x 2 modes ([test_server]), and the differential tests
+    of the float writer against [Printf] ([test_report]). *)
 
 type rendering = {
   output : string;
@@ -28,7 +38,9 @@ val optimize :
   rendering
 (** The [optimize] subcommand body: configuration banner, environment
     dump, candidate table, best pair and (in two-speed mode) the
-    saving versus the best single speed. *)
+    saving versus the best single speed. One solve: the saving's
+    single-speed optimum is the diagonal of the two-speed candidates
+    ({!Core.Bicrit.energy_saving}). *)
 
 val frontier :
   ?journal:Resilience.Checkpointed.journal ->

@@ -50,7 +50,7 @@ type client = {
 }
 
 let respond_local client response =
-  Conn.send client.conn (Json.encode response ^ "\n")
+  Conn.send client.conn (Json.encode_line response)
 
 (* ------------------------------------------------------------------ *)
 (* Pending entries                                                     *)

@@ -21,17 +21,15 @@ let run ?(label = "") ?pool ?journal ?on_resume ~env ~rho
   let solve x y =
     let env, rho = Parameter.apply x_parameter ~env ~rho x in
     let env, rho = Parameter.apply y_parameter ~env ~rho y in
-    let best mode =
-      Option.map
-        (fun (r : Core.Bicrit.result) -> r.best)
-        (Core.Bicrit.solve ~mode env ~rho)
-    in
-    {
-      x;
-      y;
-      two_speed = best Core.Bicrit.Two_speeds;
-      single_speed = best Core.Bicrit.Single_speed;
-    }
+    match Core.Bicrit.solve env ~rho with
+    | None -> { x; y; two_speed = None; single_speed = None }
+    | Some r ->
+        {
+          x;
+          y;
+          two_speed = Some r.best;
+          single_speed = Core.Bicrit.single_speed_best env ~rho r;
+        }
   in
   (* One task per cell, flattened row-major onto the pool; slot i is
      always cell (i / nx, i mod nx), so the reassembled grid is

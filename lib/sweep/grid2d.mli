@@ -2,9 +2,11 @@
 
     The paper varies one parameter at a time; interactions (e.g. "the
     second speed pays off when C is large *and* lambda is high") need a
-    grid. Each cell solves BiCrit in both modes, so the two-speed
-    saving, the winning pair, or feasibility can be mapped over any
-    pair of axes. *)
+    grid. Each cell carries the BiCrit optimum in both modes, so the
+    two-speed saving, the winning pair, or feasibility can be mapped
+    over any pair of axes. One two-speed solve per cell gives both:
+    the single-speed optimum is its diagonal
+    ({!Core.Bicrit.single_speed_best}). *)
 
 type cell = {
   x : float;

@@ -13,16 +13,14 @@ type t = {
 
 let solve_point ~env ~rho ~parameter x =
   let env, rho = Parameter.apply parameter ~env ~rho x in
-  let best mode =
-    Option.map
-      (fun (r : Core.Bicrit.result) -> r.best)
-      (Core.Bicrit.solve ~mode env ~rho)
-  in
-  {
-    x;
-    two_speed = best Core.Bicrit.Two_speeds;
-    single_speed = best Core.Bicrit.Single_speed;
-  }
+  match Core.Bicrit.solve env ~rho with
+  | None -> { x; two_speed = None; single_speed = None }
+  | Some r ->
+      {
+        x;
+        two_speed = Some r.best;
+        single_speed = Core.Bicrit.single_speed_best env ~rho r;
+      }
 
 let run ?(label = "") ~env ~rho ~parameter ~xs () =
   {

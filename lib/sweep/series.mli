@@ -1,9 +1,10 @@
 (** One sweep = one panel row of a paper figure.
 
-    For each sample of the swept parameter, the BiCrit problem is
-    solved twice: with a free re-execution speed (the paper's
+    For each sample of the swept parameter, each point carries the
+    BiCrit optimum with a free re-execution speed (the paper's
     proposal) and with the single-speed restriction (the dotted
-    baseline curves). Each point carries both solutions, so the three
+    baseline curves). One two-speed solve gives both, the second
+    being its diagonal ({!Core.Bicrit.single_speed_best}), so the three
     paper panels — speeds, optimal pattern size, energy overhead —
     are projections of one series. *)
 

@@ -164,6 +164,77 @@ let prop_candidates_meet_bound =
               s.time_overhead <= rho *. (1. +. 1e-9))
             candidates)
 
+(* A random machine with 1 to 6 speeds, or 12 to 14 (144 to 196
+   pairs, solved on the pool), and a bound from 0.8 to 4 times its
+   smallest feasible one: some draws are infeasible. *)
+let arb_env_rho =
+  let gen =
+    QCheck.Gen.(
+      map
+        (fun ((params, power), (first, gaps), factor) ->
+          let speeds =
+            List.rev
+              (List.fold_left
+                 (fun acc gap -> (List.hd acc +. gap) :: acc)
+                 [ first ] gaps)
+          in
+          let env = Core.Env.make ~params ~power ~speeds in
+          (env, factor *. Core.Bicrit.min_feasible_rho env))
+        (triple (pair gen_params gen_power)
+           (pair (float_range 0.05 0.3)
+              (oneof [ int_range 0 5; int_range 11 13 ]
+              >>= fun n -> list_repeat n (float_range 0.01 0.15)))
+           (float_range 0.8 4.)))
+  in
+  QCheck.make
+    ~print:(fun (env, rho) -> Format.asprintf "%a rho=%h" Core.Env.pp env rho)
+    gen
+
+let prop_diagonal_is_single_speed =
+  (* The single-speed optimum read off the two-speed candidates is the
+     single-speed solve's, to the last bit, and so is the saving
+     computed from it. *)
+  QCheck.Test.make ~count:300
+    ~name:"diagonal optimum = single-speed solve, bit for bit" arb_env_rho
+    (fun (env, rho) ->
+      let two = Core.Bicrit.solve env ~rho in
+      let one = Core.Bicrit.solve ~mode:Core.Bicrit.Single_speed env ~rho in
+      let best = Option.map (fun (r : Core.Bicrit.result) -> r.best) in
+      let two_solve_saving =
+        match (best two, best one) with
+        | Some b2, Some b1 ->
+            let e1 = b1.energy_overhead in
+            if Float.equal e1 0. then None
+            else Some ((e1 -. b2.energy_overhead) /. e1)
+        | None, _ | _, None -> None
+      in
+      Option.equal same_solution
+        (Option.bind two (Core.Bicrit.single_speed_best env ~rho))
+        (best one)
+      && Option.equal same_bits
+           (Core.Bicrit.energy_saving_vs_single env ~rho)
+           two_solve_saving)
+
+let test_diagonal_copy () =
+  (* At rho = 3 the best pair of Hera/XScale is (0.4, 0.4): the
+     diagonal optimum is an equal record sharing no block with it, so
+     the pair marshals like two independent solves. *)
+  match Core.Bicrit.solve env ~rho:3. with
+  | None -> Alcotest.fail "rho = 3 must be feasible on Hera/XScale"
+  | Some r -> (
+      match Core.Bicrit.single_speed_best env ~rho:3. r with
+      | None -> Alcotest.fail "expected a single-speed optimum"
+      | Some one ->
+          Alcotest.(check bool) "equal" true (same_solution one r.best);
+          Alcotest.(check bool) "not the same record" false (one == r.best);
+          let independent =
+            Core.Bicrit.solve ~mode:Core.Bicrit.Single_speed env ~rho:3.
+          in
+          let marshal pair = Marshal.to_string pair [] in
+          Alcotest.(check string) "marshals like a second solve"
+            (marshal (r.best, (Option.get independent).best))
+            (marshal (r.best, one)))
+
 let test_deterministic () =
   (* Same input, same output, including tie-breaks. *)
   let a = Core.Bicrit.solve env ~rho:3. in
@@ -213,6 +284,8 @@ let () =
           Alcotest.test_case "candidates = per-pair Theorem 1" `Quick
             test_candidates_match_pairwise;
           Alcotest.test_case "solve allocation" `Quick test_solve_allocation;
+          Alcotest.test_case "diagonal optimum is a copy" `Quick
+            test_diagonal_copy;
         ] );
       ( "invariants",
         [
@@ -220,5 +293,6 @@ let () =
           Testutil.qcheck prop_relaxing_rho_never_hurts;
           Testutil.qcheck prop_candidates_meet_bound;
           Testutil.qcheck prop_saving_finite_when_present;
+          Testutil.qcheck prop_diagonal_is_single_speed;
         ] );
     ]

@@ -56,6 +56,10 @@ let test_table_errors () =
   let t = Report.Table.create ~header:[ "a"; "b" ] () in
   check_raises_invalid "row width mismatch" (fun () ->
       Report.Table.add_row t [ "only one" ]);
+  check_raises_invalid "negative precision" (fun () ->
+      Report.Table.add_float_row ~precision:(-1) t [ nan; 1. ]);
+  Alcotest.(check string) "rejected rows leave the table as it was"
+    "a  b\n----\n" (Report.Table.render t);
   check_raises_invalid "aligns mismatch" (fun () ->
       Report.Table.create ~aligns:[ Report.Table.Left ] ~header:[ "a"; "b" ] ())
 
@@ -244,6 +248,155 @@ let test_compare_markdown () =
   Alcotest.(check bool) "markdown table" true
     (Astring_contains.contains md "| Fig 2 | saving | 35% | 33% |")
 
+(* ------------------------------------------------------------------ *)
+(* Decimal writer against Printf                                       *)
+
+(* Every value at every precision; the first few mismatches are shown
+   with the value in hex, so a failure names its input exactly. *)
+let differential ~name ~write ~reference ~precisions values =
+  let b = Buffer.create 64 in
+  let mismatches = ref 0 and shown = ref [] in
+  Array.iter
+    (fun v ->
+      List.iter
+        (fun p ->
+          Buffer.clear b;
+          write b p v;
+          let want = reference p v in
+          if not (String.equal (Buffer.contents b) want) then begin
+            incr mismatches;
+            if !mismatches <= 5 then
+              shown :=
+                Printf.sprintf "%h at %d: %S, Printf %S" v p
+                  (Buffer.contents b) want
+                :: !shown
+          end)
+        precisions)
+    values;
+  if !mismatches > 0 then
+    Alcotest.failf "%s: %d mismatches, e.g. %s" name !mismatches
+      (String.concat "; " (List.rev !shown))
+
+let signed values = Array.append values (Array.map Float.neg values)
+
+(* nan of both signs, infinities, zeros, the smallest and largest
+   subnormals, the smallest normal, max_float and a few plain values. *)
+let special_values =
+  signed
+    [|
+      nan; infinity; 0.; Int64.float_of_bits 1L;
+      Int64.float_of_bits 0x000f_ffff_ffff_ffffL; Float.min_float;
+      Float.max_float; epsilon_float; 1.; 0.5; 1e-300; 1e300;
+    |]
+
+(* x and its neighbours [k] ulps away on either side. *)
+let with_neighbours k x =
+  let rec walk step x i acc =
+    if i = 0 then acc else walk step (step x) (i - 1) (x :: acc)
+  in
+  Array.of_list
+    ((x :: walk Float.succ (Float.succ x) k [])
+    @ walk Float.pred (Float.pred x) k [])
+
+(* Magnitudes 10^u with u uniform in [-10, 10], either sign. *)
+let random_values ~seed count =
+  let rng = Prng.Rng.create ~seed in
+  Array.init count (fun _ ->
+      let m = 10. ** Prng.Rng.uniform rng ~lo:(-10.) ~hi:10. in
+      if Prng.Rng.bernoulli rng ~p:0.5 then -.m else m)
+
+let fixed_digits = [ 0; 1; 2; 3; 4; 6 ]
+let fixed_reference d v = Printf.sprintf "%.*f" d v
+
+let test_fixed_special () =
+  differential ~name:"%.*f specials" ~write:Report.Decimal.add_fixed
+    ~reference:fixed_reference ~precisions:(List.init 18 Fun.id)
+    special_values
+
+(* Decimal ties (n + 0.5) / 10^d, which are rarely exact in binary,
+   and their one-ulp neighbours, near zero and at the top of the
+   integer path; and both sides of its 2^31 bound. *)
+let test_fixed_ties_and_bound () =
+  List.iter
+    (fun d ->
+      let scale = 10. ** float_of_int d in
+      let tie n = (float_of_int n +. 0.5) /. scale in
+      let ns =
+        List.init 20_000 Fun.id @ List.init 2_000 (fun i -> 2147482648 + i)
+      in
+      let ties =
+        Array.concat (List.map (fun n -> with_neighbours 1 (tie n)) ns)
+      in
+      let bound =
+        Array.concat
+          [
+            with_neighbours 64 (2147483648. /. scale);
+            with_neighbours 64 (2147483647.5 /. scale);
+            with_neighbours 64 (2147483647. /. scale);
+          ]
+      in
+      differential
+        ~name:(Printf.sprintf "%%.%df ties and bound" d)
+        ~write:Report.Decimal.add_fixed ~reference:fixed_reference
+        ~precisions:[ d ]
+        (signed (Array.append ties bound)))
+    fixed_digits
+
+let test_fixed_random () =
+  differential ~name:"%.*f random" ~write:Report.Decimal.add_fixed
+    ~reference:fixed_reference ~precisions:fixed_digits
+    (random_values ~seed:17 1_000_000)
+
+(* Every precision the integer path takes. *)
+let general_precisions = List.init 8 succ
+let general_reference p v = Printf.sprintf "%.*g" p v
+
+(* Significand ties at p digits and values just under a power of ten,
+   where rounding moves the exponent (999999.7 prints as 1e+06), from
+   the %e range below 1e-4 to the one at 10^p. *)
+let test_general_edges () =
+  let rng = Prng.Rng.create ~seed:5 in
+  let ties p =
+    Array.init 2_500 (fun _ ->
+        let low = 10. ** float_of_int (p - 1) in
+        let n =
+          float_of_int (Prng.Rng.int rng ~bound:(9 * int_of_float low))
+        in
+        let e = Prng.Rng.int rng ~bound:14 - 8 in
+        with_neighbours 1
+          ((low +. n +. 0.5) *. (10. ** float_of_int (e - p + 1))))
+  in
+  let powers = Array.init 15 (fun i -> 10. ** float_of_int (i - 7)) in
+  let near_powers =
+    Array.concat
+      (Array.to_list
+         (Array.map
+            (fun x ->
+              Array.concat
+                [
+                  with_neighbours 8 x;
+                  Array.init 40 (fun j ->
+                      x *. (1. -. (float_of_int j *. 1e-7)));
+                ])
+            powers))
+  in
+  differential ~name:"%.*g edges" ~write:Report.Decimal.add_general
+    ~reference:general_reference ~precisions:(List.init 10 Fun.id)
+    (signed (Array.concat [ special_values; near_powers ]));
+  List.iter
+    (fun p ->
+      differential
+        ~name:(Printf.sprintf "%%.%dg ties" p)
+        ~write:Report.Decimal.add_general ~reference:general_reference
+        ~precisions:[ p ]
+        (signed (Array.concat (Array.to_list (ties p)))))
+    general_precisions
+
+let test_general_random () =
+  differential ~name:"%.*g random" ~write:Report.Decimal.add_general
+    ~reference:general_reference ~precisions:general_precisions
+    (random_values ~seed:29 200_000)
+
 let () =
   Alcotest.run "report"
     [
@@ -253,6 +406,16 @@ let () =
           Alcotest.test_case "left align" `Quick test_table_left_align;
           Alcotest.test_case "float rows" `Quick test_table_float_rows;
           Alcotest.test_case "errors" `Quick test_table_errors;
+        ] );
+      ( "decimal",
+        [
+          Alcotest.test_case "%f specials" `Quick test_fixed_special;
+          Alcotest.test_case "%f ties and 2^31 bound" `Quick
+            test_fixed_ties_and_bound;
+          Alcotest.test_case "%f 1M random" `Quick test_fixed_random;
+          Alcotest.test_case "%g edges and ties" `Quick test_general_edges;
+          Alcotest.test_case "%g 200k random x 8 precisions" `Quick
+            test_general_random;
         ] );
       ( "csv",
         [

@@ -122,6 +122,64 @@ let test_json_encode () =
   Testutil.check_raises_invalid "non-finite floats are rejected" (fun () ->
       Server.Json.encode (Server.Json.Float Float.nan))
 
+(* The byte-by-byte escaper the run-copying one replaced, kept as the
+   reference it must match. *)
+let reference_escape s =
+  let buffer = Buffer.create 16 in
+  Buffer.add_char buffer '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buffer "\\\""
+      | '\\' -> Buffer.add_string buffer "\\\\"
+      | '\n' -> Buffer.add_string buffer "\\n"
+      | '\r' -> Buffer.add_string buffer "\\r"
+      | '\t' -> Buffer.add_string buffer "\\t"
+      | '\b' -> Buffer.add_string buffer "\\b"
+      | '\012' -> Buffer.add_string buffer "\\f"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string buffer (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buffer c)
+    s;
+  Buffer.add_char buffer '"';
+  Buffer.contents buffer
+
+let test_json_escape_differential () =
+  let mismatches = ref 0 in
+  let check s =
+    let v = Server.Json.String s in
+    let want = reference_escape s in
+    if
+      not
+        (String.equal (Server.Json.encode v) want
+        && String.equal (Server.Json.encode_line v) (want ^ "\n")
+        && String.equal
+             (Server.Json.encode (Server.Json.Obj [ (s, Server.Json.Null) ]))
+             ("{" ^ want ^ ":null}"))
+    then begin
+      incr mismatches;
+      if !mismatches <= 5 then Printf.eprintf "escape mismatch on %S\n" s
+    end
+  in
+  for code = 0 to 255 do
+    check (String.make 1 (Char.chr code))
+  done;
+  (* Uniform bytes, and mostly printable text with sparse escapes so
+     that runs of every length end at every kind of byte. *)
+  let rng = Prng.Rng.create ~seed:23 in
+  let byte () = Char.chr (Prng.Rng.int rng ~bound:256) in
+  let texty () =
+    if Prng.Rng.bernoulli rng ~p:0.9 then
+      Char.chr (32 + Prng.Rng.int rng ~bound:95)
+    else byte ()
+  in
+  for i = 1 to 100_000 do
+    let len = Prng.Rng.int rng ~bound:(if i mod 100 = 0 then 2000 else 40) in
+    check (String.init len (fun _ -> if i mod 2 = 0 then byte () else texty ()))
+  done;
+  Alcotest.(check int) "mismatches against the byte-by-byte escaper" 0
+    !mismatches
+
 let test_json_decode () =
   let ok label expected input =
     let v = expect_ok label (Server.Json.decode input) in
@@ -409,6 +467,36 @@ let test_render () =
   Alcotest.(check bool)
     "infeasible output explains" true
     (contains ~affix:"no feasible speed pair" infeasible.output)
+
+(* The bytes of every [optimize] rendering and of its JSON string,
+   pinned by digest: the eight built-in configurations at 201 bounds
+   from 0.8 (infeasible everywhere) to 4.8, in both modes. The
+   literals were taken from the Printf-based renderer; the
+   buffer-direct one must reproduce them byte for byte. *)
+let test_render_digest () =
+  let outputs = Buffer.create (1 lsl 23) in
+  let encoded = Buffer.create (1 lsl 23) in
+  List.iter
+    (fun config ->
+      let env = Core.Env.of_config config in
+      let name = Platforms.Config.name config in
+      for i = 0 to 200 do
+        let rho = 0.8 +. (0.02 *. float_of_int i) in
+        List.iter
+          (fun mode ->
+            let r = Server.Render.optimize ~mode ~env ~name ~rho () in
+            Buffer.add_char outputs (if r.ok then '+' else '-');
+            Buffer.add_string outputs r.output;
+            Buffer.add_string encoded
+              (Server.Json.encode (Server.Json.String r.output)))
+          [ Core.Bicrit.Two_speeds; Core.Bicrit.Single_speed ]
+      done)
+    Platforms.Config.all;
+  let md5 b = Digest.to_hex (Digest.string (Buffer.contents b)) in
+  Alcotest.(check string)
+    "Render.optimize digest" "b987641ea077d0dd64b08a2add5e800a" (md5 outputs);
+  Alcotest.(check string)
+    "Json.encode digest" "fc1cddbd56d54daa118a5139bb3668c0" (md5 encoded)
 
 (* ------------------------------------------------------------------ *)
 (* End to end over a Unix socket                                       *)
@@ -1357,6 +1445,8 @@ let () =
           Alcotest.test_case "encode" `Quick test_json_encode;
           Alcotest.test_case "decode" `Quick test_json_decode;
           Alcotest.test_case "error positions" `Quick test_json_error_positions;
+          Alcotest.test_case "escaping = byte-by-byte reference" `Quick
+            test_json_escape_differential;
         ] );
       ( "lru",
         [
@@ -1390,7 +1480,11 @@ let () =
           Alcotest.test_case "resize stability" `Quick
             test_shard_map_resize_stability;
         ] );
-      ("render", [ Alcotest.test_case "optimize" `Quick test_render ]);
+      ( "render",
+        [
+          Alcotest.test_case "optimize" `Quick test_render;
+          Alcotest.test_case "optimize bytes pinned" `Quick test_render_digest;
+        ] );
       ( "daemon",
         [
           Alcotest.test_case "end to end" `Quick test_daemon_end_to_end;

@@ -322,6 +322,42 @@ let test_grid_saving_zero_energy () =
   | None -> ()
   | Some _ -> Alcotest.fail "infeasible cell must have no saving"
 
+(* A journaled grid's file, pinned by digest. Cells are marshalled
+   with sharing, so a cell whose single-speed optimum were the very
+   record of its two-speed one would encode differently: the grid
+   covers infeasible cells and optima on and off the diagonal. *)
+let test_grid_journal_bytes () =
+  let path = Filename.temp_file "grid" ".journal" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let journal =
+    {
+      Resilience.Checkpointed.path;
+      resume = false;
+      description = "grid pin";
+      durable = false;
+    }
+  in
+  let g =
+    Sweep.Grid2d.run ~label:"pin" ~journal ~env:(hera_xscale ()) ~rho:3.
+      ~x:(Sweep.Parameter.Rho, [ 0.9; 1.3; 1.775; 3.; 6. ])
+      ~y:(Sweep.Parameter.C, [ 100.; 300.; 3000. ])
+      ()
+  in
+  let cells = Array.concat (Array.to_list g.Sweep.Grid2d.cells) in
+  let count p = Array.fold_left (fun n c -> if p c then n + 1 else n) 0 cells in
+  let diagonal (c : Sweep.Grid2d.cell) =
+    match c.two_speed with
+    | Some s -> Float.equal s.Core.Optimum.sigma1 s.Core.Optimum.sigma2
+    | None -> false
+  in
+  Alcotest.(check bool) "an infeasible cell" true
+    (count (fun c -> c.two_speed = None) > 0);
+  Alcotest.(check bool) "a diagonal optimum" true (count diagonal > 0);
+  Alcotest.(check bool) "an off-diagonal optimum" true
+    (count (fun c -> c.two_speed <> None && not (diagonal c)) > 0);
+  Alcotest.(check string) "journal digest" "ca03b7d9f8914717cdfe5f5dd070ae8b"
+    (Digest.to_hex (Digest.file path))
+
 let test_grid_validation () =
   (match
      Sweep.Grid2d.run ~env ~rho:3.
@@ -409,5 +445,7 @@ let () =
           Alcotest.test_case "zero-energy saving" `Quick
             test_grid_saving_zero_energy;
           Alcotest.test_case "validation" `Quick test_grid_validation;
+          Alcotest.test_case "journal bytes pinned" `Quick
+            test_grid_journal_bytes;
         ] );
     ]
