@@ -6,10 +6,7 @@ let require_non_negative name x =
   if x < 0. || not (Float.is_finite x) then
     invalid_arg ("Young_daly: " ^ name ^ " must be non-negative and finite")
 
-let failstop_period ~c ~lambda =
-  require_positive "c" c;
-  require_positive "lambda" lambda;
-  sqrt (2. *. c /. lambda)
+let failstop_period = Numerics.Young_daly.failstop_period
 
 let silent_period ~c ~v ~lambda =
   require_positive "c" c;

@@ -8,7 +8,9 @@
 
 val failstop_period : c:float -> lambda:float -> float
 (** Young/Daly: [sqrt (2 c / lambda)] — optimal work between
-    checkpoints at unit speed under fail-stop errors.
+    checkpoints at unit speed under fail-stop errors. The same function
+    as {!Numerics.Young_daly.failstop_period}, which the run journal
+    also uses.
     @raise Invalid_argument on non-positive [c] or [lambda]. *)
 
 val silent_period : c:float -> v:float -> lambda:float -> float

@@ -56,8 +56,9 @@ let jump_coeffs =
 
 (* The 256 steps run on local mutable variables, which the native
    compiler keeps unboxed in registers; each step is [next]'s state
-   update without its output. *)
-let jump t =
+   update without its output. This is the reference the table below is
+   built from and tested against. *)
+let jump_reference t =
   let s0 = ref (get t 0) and s1 = ref (get t 8) in
   let s2 = ref (get t 16) and s3 = ref (get t 24) in
   let j0 = ref 0L and j1 = ref 0L and j2 = ref 0L and j3 = ref 0L in
@@ -76,6 +77,72 @@ let jump t =
       s1 := Int64.logxor !s1 x2;
       s3 := rotl x3 45
     done
+  done;
+  set t 0 !j0;
+  set t 8 !j1;
+  set t 16 !j2;
+  set t 24 !j3
+
+(* The jump is linear over GF(2): the state update only xors, shifts
+   and rotates, and the jump xors states together. So the image of a
+   state is the xor of the images of its 32 bytes, each taken alone,
+   and the table holds the image of every value of every byte: the
+   32-byte entry for byte [k] of the state buffer holding [v] starts at
+   offset [32 * (256 * k + v)]. Indexing the buffer's bytes, not the
+   words' bits, makes the table independent of the host's byte order.
+   Each byte's 8 one-bit images come from the reference jump; every
+   other value's image is the xor of the images of its lowest set bit
+   and of the rest, both already filled in. *)
+let build_table () =
+  let table = Bytes.make (32 * 256 * 32) '\000' in
+  let unit = Bytes.create 32 in
+  let entry k v = 32 * ((256 * k) + v) in
+  for k = 0 to 31 do
+    for b = 0 to 7 do
+      Bytes.fill unit 0 32 '\000';
+      Bytes.set unit k (Char.chr (1 lsl b));
+      jump_reference unit;
+      Bytes.blit unit 0 table (entry k (1 lsl b)) 32
+    done;
+    for v = 3 to 255 do
+      let low = v land -v in
+      if low <> v then
+        for w = 0 to 3 do
+          let at = 8 * w in
+          set table
+            (entry k v + at)
+            (Int64.logxor
+               (get table (entry k low + at))
+               (get table (entry k (v - low) + at)))
+        done
+    done
+  done;
+  table
+
+(* Built on the first jump, never in a process that does not split a
+   stream. Two domains may race to build it: each builds a whole table
+   of its own and the first one published wins; publication through the
+   [Atomic] orders the table's writes before any read of it. *)
+let table = Atomic.make Bytes.empty
+
+let jump_table () =
+  let t = Atomic.get table in
+  if Bytes.length t > 0 then t
+  else begin
+    let built = build_table () in
+    if Atomic.compare_and_set table Bytes.empty built then built
+    else Atomic.get table
+  end
+
+let jump t =
+  let table = jump_table () in
+  let j0 = ref 0L and j1 = ref 0L and j2 = ref 0L and j3 = ref 0L in
+  for k = 0 to 31 do
+    let e = 32 * ((256 * k) + Char.code (Bytes.unsafe_get t k)) in
+    j0 := Int64.logxor !j0 (get table e);
+    j1 := Int64.logxor !j1 (get table (e + 8));
+    j2 := Int64.logxor !j2 (get table (e + 16));
+    j3 := Int64.logxor !j3 (get table (e + 24))
   done;
   set t 0 !j0;
   set t 8 !j1;

@@ -3,7 +3,7 @@
    journal needs tamper/tear detection, not cryptography. *)
 
 let fnv_offset_basis = 0xCBF29CE484222325L
-let fnv_prime = 0x100000001B3L
+let prime = 0x100000001B3L
 
 (* A local ref that never escapes is compiled to an unboxed mutable
    variable, so the fold allocates only the final result. *)
@@ -15,7 +15,7 @@ let sub s ~pos ~len =
     h :=
       Int64.mul
         (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
-        fnv_prime
+        prime
   done;
   !h
 

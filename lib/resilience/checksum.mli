@@ -16,6 +16,11 @@ val sub : string -> pos:int -> len:int -> int64
     The fold allocates nothing per byte.
     @raise Invalid_argument if the range is not within the string. *)
 
+val prime : int64
+(** FNV-1a's 64-bit prime: {!sub} folds each byte [c] into the hash [h]
+    as [(h lxor c) * prime]. For loops that checksum bytes as they
+    produce or consume them, such as the journal's hex codec. *)
+
 val to_hex : int64 -> string
 (** Fixed-width (16 character) lowercase hex rendering. *)
 

@@ -4,7 +4,10 @@ let magic = "rexspeed-journal v1"
 (* Hex payload encoding: keeps the journal line-based text, so torn
    writes are detected by line structure + checksum, and the file can
    be inspected with standard tools. Both directions are table lookups
-   in plain loops: no per-byte formatting or allocation. *)
+   in plain loops that fold the line's checksum over the digits as they
+   write or read them: no per-byte formatting or allocation, and one
+   pass over the digits, whose cost the checksum's chain of multiplies
+   sets. *)
 
 let hex_digits = "0123456789abcdef"
 
@@ -20,33 +23,76 @@ let hex_values =
         | 'A' .. 'F' -> c - Char.code 'A' + 10
         | _ -> 16))
 
-(* Write [s] as lower-case hex into [dst] at [pos]. *)
-let blit_hex s dst pos =
+external get16 : string -> int -> int = "%caml_string_get16u"
+external set16 : Bytes.t -> int -> int -> unit = "%caml_bytes_set16u"
+
+(* The two digits of every byte value, as one 16-bit word: those of
+   byte [c] start at [2 * c]. Loads and stores of the word share the
+   host's byte order, so the digits land in order on any host. *)
+let hex_pairs =
+  String.init 512 (fun i ->
+      hex_digits.[(if i land 1 = 0 then i lsr 5 else (i lsr 1) land 15)])
+
+(* [h] continued over the two characters [c1] and [c2]; the caller
+   passes [Checksum.prime], bound before its loop so that it stays an
+   unboxed register there. *)
+let[@inline] fold2 prime h c1 c2 =
+  Int64.mul
+    (Int64.logxor (Int64.mul (Int64.logxor h (Int64.of_int c1)) prime) (Int64.of_int c2))
+    prime
+
+(* Write [s] as lower-case hex into [dst] at [pos], inside bounds
+   checked once, and return the checksum [h] continued over the
+   digits. *)
+let blit_hex h s dst pos =
+  if pos < 0 || Bytes.length dst - pos < 2 * String.length s then
+    invalid_arg "Journal.blit_hex";
+  let prime = Checksum.prime and h = ref h in
   for i = 0 to String.length s - 1 do
-    let c = Char.code (String.unsafe_get s i) in
-    Bytes.set dst (pos + (2 * i)) (String.unsafe_get hex_digits (c lsr 4));
-    Bytes.set dst (pos + (2 * i) + 1) (String.unsafe_get hex_digits (c land 15))
-  done
+    let pair = get16 hex_pairs (2 * Char.code (String.unsafe_get s i)) in
+    set16 dst (pos + (2 * i)) pair;
+    h :=
+      fold2 prime !h
+        (Char.code (Bytes.unsafe_get dst (pos + (2 * i))))
+        (Char.code (Bytes.unsafe_get dst (pos + (2 * i) + 1)))
+  done;
+  !h
 
 let hex_encode s =
   let b = Bytes.create (2 * String.length s) in
-  blit_hex s b 0;
+  ignore (blit_hex 0L s b 0 : int64);
   Bytes.unsafe_to_string b
+
+(* Decode the digits of [s] from [pos], a pair at a time while both are
+   digits before [stop], into [out] from 0, inside bounds checked once.
+   Returns where the decoded run ends, and the checksum [h] continued
+   over it. *)
+let unhex h s ~pos ~stop out =
+  if pos < 0 || stop > String.length s || Bytes.length out < (stop - pos) / 2
+  then invalid_arg "Journal.unhex";
+  let prime = Checksum.prime and h = ref h in
+  let at = ref pos and digits = ref true in
+  while !digits && !at + 1 < stop do
+    let i = !at in
+    let c1 = Char.code (String.unsafe_get s i)
+    and c2 = Char.code (String.unsafe_get s (i + 1)) in
+    let hi = Char.code (String.unsafe_get hex_values c1)
+    and lo = Char.code (String.unsafe_get hex_values c2) in
+    if hi lor lo < 16 then begin
+      Bytes.unsafe_set out ((i - pos) / 2) (Char.unsafe_chr ((hi lsl 4) lor lo));
+      h := fold2 prime !h c1 c2;
+      at := i + 2
+    end
+    else digits := false
+  done;
+  (!at, !h)
 
 (* Decode the [len] hex digits of [s] at [pos]. *)
 let hex_decode_sub s ~pos ~len =
-  if len mod 2 <> 0 then None
-  else begin
-    let out = Bytes.create (len / 2) in
-    let seen = ref 0 in
-    for i = 0 to (len / 2) - 1 do
-      let hi = Char.code hex_values.[Char.code s.[pos + (2 * i)]] in
-      let lo = Char.code hex_values.[Char.code s.[pos + (2 * i) + 1]] in
-      seen := !seen lor hi lor lo;
-      Bytes.unsafe_set out i (Char.unsafe_chr (((hi lsl 4) lor lo) land 0xff))
-    done;
-    if !seen > 15 then None else Some (Bytes.unsafe_to_string out)
-  end
+  if len < 0 then invalid_arg "Journal.hex_decode_sub";
+  let out = Bytes.create (len / 2) in
+  let stop, _ = unhex 0L s ~pos ~stop:(pos + len) out in
+  if stop = pos + len then Some (Bytes.unsafe_to_string out) else None
 
 let hex_decode s = hex_decode_sub s ~pos:0 ~len:(String.length s)
 
@@ -54,12 +100,17 @@ let hex_decode s = hex_decode_sub s ~pos:0 ~len:(String.length s)
 (* Writer                                                              *)
 
 (* [line] is a reusable buffer each line is laid out in before it is
-   output in one write. *)
-type writer = { oc : Out_channel.t; sync : bool; mutable line : Bytes.t }
+   output in one write; [cost] is how long the last durability point
+   took, in seconds. *)
+type writer = {
+  oc : Out_channel.t;
+  sync : bool;
+  mutable line : Bytes.t;
+  mutable cost : float;
+}
 
 (* Output the line "<head><hex(payload)> <crc>\n", the crc covering
-   everything before its space. The buffer is viewed as a string only
-   for the checksum's fold, which keeps no reference to it. *)
+   everything before its space. *)
 let output_line w ~head payload =
   let start = String.length head in
   let body = start + (2 * String.length payload) in
@@ -67,10 +118,7 @@ let output_line w ~head payload =
     w.line <- Bytes.create (2 * (body + 18));
   let b = w.line in
   Bytes.blit_string head 0 b 0 start;
-  blit_hex payload b start;
-  let crc =
-    Checksum.to_hex (Checksum.sub (Bytes.unsafe_to_string b) ~pos:0 ~len:body)
-  in
+  let crc = Checksum.to_hex (blit_hex (Checksum.string head) payload b start) in
   Bytes.set b body ' ';
   Bytes.blit_string crc 0 b (body + 1) 16;
   Bytes.set b (body + 17) '\n';
@@ -79,16 +127,21 @@ let output_line w ~head payload =
 (* [Out_channel.flush] survives a killed process (the data is in the
    kernel page cache) but not power loss or a kernel panic; [fsync]
    covers those too. Durability points route through here so the two
-   levels of guarantee live in one place. *)
+   levels of guarantee live in one place, and so does the measurement
+   of what a durability point costs. *)
 let flush w =
+  let start = Tracing.Clock.now_s () in
   Out_channel.flush w.oc;
-  if w.sync then Unix.fsync (Unix.descr_of_out_channel w.oc)
+  if w.sync then Unix.fsync (Unix.descr_of_out_channel w.oc);
+  w.cost <- Tracing.Clock.now_s () -. start
+
+let flush_cost w = w.cost
 
 let create ?(sync = true) ~path ~description () =
   match Out_channel.open_text path with
   | exception Sys_error message -> Error message
   | oc ->
-      let w = { oc; sync; line = Bytes.create 128 } in
+      let w = { oc; sync; line = Bytes.create 128; cost = 0. } in
       Out_channel.output_string oc (magic ^ "\n");
       output_line w ~head:"H " description;
       (* The header must survive an immediate crash: flush (and, when
@@ -106,7 +159,7 @@ let reopen ?(sync = true) ~path ~valid_bytes () =
   with
   | exception Sys_error message -> Error message
   | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
-  | oc -> Ok { oc; sync; line = Bytes.create 128 }
+  | oc -> Ok { oc; sync; line = Bytes.create 128; cost = 0. }
 
 let append w ~index ~payload =
   output_line w ~head:("R " ^ string_of_int index ^ " ") payload
@@ -156,23 +209,37 @@ let verify contents ~pos ~stop =
 let untag contents tag ~pos ~stop =
   if stop - pos >= 2 && occurs_at contents pos tag then Some (pos + 2) else None
 
-(* A record body [pos, stop), "R <index> <hex(payload)>", the index
-   naming one of [slots] slots. *)
-let parse_record contents ~slots ~pos ~stop =
-  match untag contents "R " ~pos ~stop with
+(* The record line at [pos], "R <index> <hex(payload)> <crc>\n", the
+   index naming one of [slots] slots and the crc the checksum of
+   everything before its space, parsed in one pass: its digits are
+   decoded into [scratch] as the checksum folds over them. Returns the
+   index, the payload and where the next line starts. *)
+let parse_record contents ~slots ~pos scratch =
+  let length = String.length contents in
+  match untag contents "R " ~pos ~stop:length with
   | None -> None
-  | Some pos -> begin
-      match String.index_from_opt contents pos ' ' with
-      | Some space when space < stop -> begin
-          match int_of_string_opt (String.sub contents pos (space - pos)) with
+  | Some start -> begin
+      match String.index_from_opt contents start ' ' with
+      | None -> None
+      | Some space -> begin
+          match int_of_string_opt (String.sub contents start (space - start)) with
           | Some i when i >= 0 && i < slots ->
-              Option.map
-                (fun payload -> (i, payload))
-                (hex_decode_sub contents ~pos:(space + 1)
-                   ~len:(stop - space - 1))
+              let digits = space + 1 in
+              let stop, h =
+                unhex
+                  (Checksum.sub contents ~pos ~len:(digits - pos))
+                  contents ~pos:digits ~stop:length scratch
+              in
+              if
+                stop + 17 < length
+                && contents.[stop] = ' '
+                && contents.[stop + 17] = '\n'
+                && occurs_at contents (stop + 1) (Checksum.to_hex h)
+              then
+                Some (i, Bytes.sub_string scratch 0 ((stop - digits) / 2), stop + 18)
+              else None
           | Some _ | None -> None
         end
-      | Some _ | None -> None
     end
 
 let read ~path ~description ~slots =
@@ -209,21 +276,14 @@ let read ~path ~description ~slots =
                        untrusted. *)
                     let payloads = Array.make slots None in
                     let entries = ref 0 in
+                    let scratch = Bytes.create (String.length contents / 2) in
                     let rec records pos =
-                      match line_end contents pos with
+                      match parse_record contents ~slots ~pos scratch with
                       | None -> pos
-                      | Some stop -> begin
-                          match
-                            Option.bind (verify contents ~pos ~stop)
-                              (fun body ->
-                                parse_record contents ~slots ~pos ~stop:body)
-                          with
-                          | None -> pos
-                          | Some (i, payload) ->
-                              if payloads.(i) = None then incr entries;
-                              payloads.(i) <- Some payload;
-                              records (stop + 1)
-                        end
+                      | Some (i, payload, next) ->
+                          if payloads.(i) = None then incr entries;
+                          payloads.(i) <- Some payload;
+                          records next
                     in
                     let valid_bytes = records (stop + 1) in
                     Ok

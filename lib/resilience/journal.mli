@@ -60,6 +60,10 @@ val flush : writer -> unit
     first batch may lose the whole file but never leaves a torn one:
     recovery then simply starts from scratch. *)
 
+val flush_cost : writer -> float
+(** Seconds the writer's last durability point took: its last {!flush},
+    or the header's flush until then. [0.] for a {!reopen}ed writer
+    not yet flushed. Read through the tracing clock. *)
 
 val close : writer -> unit
 

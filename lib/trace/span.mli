@@ -14,7 +14,12 @@ type category =
   | Reexec  (** re-execution of a pattern at speed sigma2 *)
   | Pool_task  (** one task slot executed by the domain pool *)
   | Pool_retry  (** a retry attempt after a task failure *)
-  | Journal_flush  (** a journal batch reaching the OS (and the disk) *)
+  | Journal_flush
+      (** a journal durability point: the records appended since the
+          last one reaching the OS (and the disk, when durable). Points
+          fall at the Young/Daly period of their measured cost, so how
+          many a run makes, and after which block, depends on timing:
+          the one span whose count is not a function of the inputs. *)
   | Daemon_request  (** one daemon request, admission to response *)
   | Cache_lookup  (** a result-cache probe in the daemon *)
   | Sweep_cell  (** one cell of a parameter sweep *)

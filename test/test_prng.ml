@@ -122,20 +122,87 @@ let test_xoshiro_jump_allocates_nothing () =
            Prng.Xoshiro256.jump g
          done))
 
-let test_split_replica_vectors () =
-  (* Each replica's first draw, compared bit for bit. *)
-  let replicas = Prng.Rng.split (Prng.Rng.create ~seed:2016) 4096 in
+(* The first draws of replicas 0, 1 and 4095 of
+   [Rng.split (Rng.create ~seed:2016) 4096]. *)
+let replica_vectors =
+  [
+    (0, 0x1.3c1c4cf98965p-3);
+    (1, 0x1.048d590e06a7p-1);
+    (4095, 0x1.d87b3864e30dp-4);
+  ]
+
+let check_replica_vectors label firsts =
   List.iter
     (fun (i, expected) ->
       check_int64
-        (Printf.sprintf "replica %d first float" i)
+        (Printf.sprintf "%s replica %d first float" label i)
         (Int64.bits_of_float expected)
-        (Int64.bits_of_float (Prng.Rng.float replicas.(i))))
-    [
-      (0, 0x1.3c1c4cf98965p-3);
-      (1, 0x1.048d590e06a7p-1);
-      (4095, 0x1.d87b3864e30dp-4);
-    ]
+        (Int64.bits_of_float firsts.(i)))
+    replica_vectors
+
+let test_split_replica_vectors () =
+  (* Each replica's first draw, compared bit for bit. *)
+  let replicas = Prng.Rng.split (Prng.Rng.create ~seed:2016) 4096 in
+  check_replica_vectors "sequential" (Array.map Prng.Rng.float replicas)
+
+(* The table jump is the polynomial jump, bit for bit. *)
+let table_jump_agrees state =
+  let table = Prng.Xoshiro256.of_state state in
+  let reference = Prng.Xoshiro256.copy table in
+  Prng.Xoshiro256.jump table;
+  Prng.Xoshiro256.jump_reference reference;
+  Prng.Xoshiro256.state table = Prng.Xoshiro256.state reference
+
+let prop_table_jump =
+  QCheck.Test.make ~count:2000 ~name:"table jump = polynomial jump, bit for bit"
+    QCheck.(quad int64 int64 int64 int64)
+    (fun (s0, s1, s2, s3) ->
+      QCheck.assume (s0 <> 0L || s1 <> 0L || s2 <> 0L || s3 <> 0L);
+      table_jump_agrees (s0, s1, s2, s3))
+
+let test_table_jump_one_bit_states () =
+  (* Every one-bit state is one table entry's source, and the all-ones
+     state sums an entry of every byte. *)
+  for word = 0 to 3 do
+    for bit = 0 to 63 do
+      let w k = if k = word then Int64.shift_left 1L bit else 0L in
+      check_bool
+        (Printf.sprintf "word %d bit %d" word bit)
+        true
+        (table_jump_agrees (w 0, w 1, w 2, w 3))
+    done
+  done;
+  check_bool "all ones" true (table_jump_agrees (-1L, -1L, -1L, -1L))
+
+(* Four domains split the same 4096 streams at once. Run first in the
+   suite, so that they also race to build the jump table. *)
+let test_split_on_domains () =
+  let domains = 4 and ready = Atomic.make 0 in
+  let split () =
+    Atomic.incr ready;
+    while Atomic.get ready < domains do
+      Domain.cpu_relax ()
+    done;
+    Array.map Prng.Rng.float (Prng.Rng.split (Prng.Rng.create ~seed:2016) 4096)
+  in
+  (* Every first draw, from streams split by the polynomial jump. *)
+  let reference =
+    let root = Prng.Xoshiro256.of_seed 2016L in
+    Array.init 4096 (fun _ ->
+        let child = Prng.Xoshiro256.copy root in
+        Prng.Xoshiro256.jump_reference root;
+        Int64.to_float (Int64.shift_right_logical (Prng.Xoshiro256.next child) 11)
+        *. 0x1.0p-53)
+  in
+  List.iteri
+    (fun d firsts ->
+      check_replica_vectors (Printf.sprintf "domain %d" d) firsts;
+      Array.iteri
+        (fun i first ->
+          if Int64.bits_of_float first <> Int64.bits_of_float reference.(i) then
+            Alcotest.failf "domain %d replica %d differs" d i)
+        firsts)
+    (List.map Domain.join (List.init domains (fun _ -> Domain.spawn split)))
 
 let test_xoshiro_copy_independence () =
   let a = Prng.Xoshiro256.of_seed 6L in
@@ -323,6 +390,9 @@ let prop_exponential_positive =
 let () =
   Alcotest.run "prng"
     [
+      ( "streams",
+        [ Alcotest.test_case "split on 4 domains at once" `Quick
+            test_split_on_domains ] );
       ( "splitmix64",
         [
           Alcotest.test_case "determinism" `Quick test_splitmix_determinism;
@@ -345,6 +415,9 @@ let () =
             test_xoshiro_jump_allocates_nothing;
           Alcotest.test_case "copy independence" `Quick
             test_xoshiro_copy_independence;
+          Alcotest.test_case "table jump, one-bit states" `Quick
+            test_table_jump_one_bit_states;
+          Testutil.qcheck prop_table_jump;
         ] );
       ( "rng",
         [

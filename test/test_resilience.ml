@@ -421,47 +421,197 @@ let test_checkpointed_fresh_and_resume () =
   Alcotest.(check int) "restart recomputes every slot" n (Atomic.get calls);
   Alcotest.(check bool) "restart is bit-identical" true (fresh = restarted)
 
+(* Which slots a run computed, for a sequential pool. *)
+let recording_f seen i =
+  Atomic.incr seen.(i);
+  (float_of_int i /. 7., i * 3)
+
+let computed seen =
+  List.filter (fun i -> Atomic.get seen.(i) > 0) (List.init (Array.length seen) Fun.id)
+
 let test_checkpointed_partial_resume () =
   let path = temp_path () in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
   let pool = Parallel.Pool.sequential in
   let n = 20 in
-  let calls = Atomic.make 0 in
+  let seen () = Array.init n (fun _ -> Atomic.make 0) in
   let fresh =
     Resilience.Checkpointed.init_array ~pool
-      ~journal:(journal ~path "partial") ~batch:5 n (counting_f calls)
+      ~journal:(journal ~path "partial") ~batch:5 n (recording_f (seen ()))
   in
-  (* Simulate a crash after 7 records: keep magic + header + 7 record
-     lines, drop the rest, and tear the 8th mid-write. *)
+  (* Simulate a crash inside the third block: keep magic + header + the
+     records of blocks 0 and 1 (slots 0-9), and tear block 2's record
+     mid-write. *)
   let lines = String.split_on_char '\n' (read_file path) in
-  let keep = List.filteri (fun i _ -> i < 2 + 7) lines in
-  write_file path (String.concat "\n" keep ^ "\nR 7 dead");
-  Atomic.set calls 0;
+  let keep = List.filteri (fun i _ -> i < 2 + 2) lines in
+  let torn = List.nth lines 4 in
+  write_file path
+    (String.concat "\n" keep ^ "\n" ^ String.sub torn 0 (String.length torn / 2));
+  let recomputed = seen () in
   let resumes = ref [] in
   let resumed =
     Resilience.Checkpointed.init_array ~pool
       ~journal:(journal ~path ~resume:true "partial")
       ~batch:5
       ~on_resume:(fun ~entries ~dropped -> resumes := (entries, dropped) :: !resumes)
-      n (counting_f calls)
+      n (recording_f recomputed)
   in
-  Alcotest.(check int) "only missing slots recomputed" (n - 7)
-    (Atomic.get calls);
+  Alcotest.(check (list int))
+    "the torn block and every block after it recomputed, nothing else"
+    (List.init 10 (fun i -> 10 + i))
+    (computed recomputed);
   Alcotest.(check (list (pair int bool)))
-    "on_resume reports the verified prefix and the dropped tail"
-    [ (7, true) ] !resumes;
+    "on_resume reports the recovered slots and the dropped tail"
+    [ (10, true) ] !resumes;
   Alcotest.(check bool) "partial resume is bit-identical" true
     (fresh = resumed);
   (* The repaired journal is complete: a further resume recovers all. *)
-  Atomic.set calls 0;
+  let again_seen = seen () in
+  resumes := [];
   let again =
     Resilience.Checkpointed.init_array ~pool
-      ~journal:(journal ~path ~resume:true "partial") ~batch:5 n
-      (counting_f calls)
+      ~journal:(journal ~path ~resume:true "partial") ~batch:5
+      ~on_resume:(fun ~entries ~dropped -> resumes := (entries, dropped) :: !resumes)
+      n (recording_f again_seen)
   in
-  Alcotest.(check int) "journal was repaired by the resume" 0
-    (Atomic.get calls);
+  Alcotest.(check (list int)) "journal was repaired by the resume" []
+    (computed again_seen);
+  Alcotest.(check (list (pair int bool))) "and is whole" [ (n, false) ] !resumes;
   Alcotest.(check bool) "still bit-identical" true (fresh = again)
+
+let test_checkpointed_block_records () =
+  (* One record line per block, indexed by the block's first slot. *)
+  let path = temp_path () in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let pool = Parallel.Pool.sequential in
+  List.iter
+    (fun (n, batch) ->
+      ignore
+        (Resilience.Checkpointed.init_array ~pool
+           ~journal:(journal ~path "blocks") ~batch n float_of_int);
+      let records =
+        List.filter_map
+          (fun line ->
+            match String.split_on_char ' ' line with
+            | [ "R"; index; _; _ ] -> Some (int_of_string index)
+            | _ -> None)
+          (String.split_on_char '\n' (read_file path))
+      in
+      Alcotest.(check (list int))
+        (Printf.sprintf "n=%d batch=%d: ceil(n/batch) records" n batch)
+        (List.init ((n + batch - 1) / batch) (fun b -> b * batch))
+        records)
+    [ (23, 4); (24, 4); (1, 64); (64, 64); (65, 64); (3, 1) ]
+
+(* A per-slot journal of [init_array ~batch:2 3 (fun i -> i * 7)] under
+   the description "per-slot", as the build before block records wrote
+   it: one record per slot and no grain tag in the fingerprint. *)
+let per_slot_journal =
+  "rexspeed-journal v1\n\
+   H 7065722d736c6f742023736c6f74733d33 c1d31beae2c2af76\n\
+   R 0 8495a6be0000000100000000000000000000000040 957ee6900db840a0\n\
+   R 1 8495a6be0000000100000000000000000000000047 8562db7a8e5bb3ac\n\
+   R 2 8495a6be000000010000000000000000000000004e bcf5d4594cc226a5\n"
+
+let test_checkpointed_per_slot_refused () =
+  let path = temp_path () in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  write_file path per_slot_journal;
+  let calls = Atomic.make 0 in
+  (match
+     Resilience.Checkpointed.init_array ~pool:Parallel.Pool.sequential
+       ~journal:(journal ~path ~resume:true "per-slot") ~batch:2 3
+       (fun i -> Atomic.incr calls; i * 7)
+   with
+  | _ -> Alcotest.fail "a per-slot journal must raise Journal_error"
+  | exception Resilience.Checkpointed.Journal_error e ->
+      Alcotest.(check bool) "error names both grains" true
+        (Astring_contains.contains e "per-slot #slots=3\n"
+        && Astring_contains.contains e "per-slot #slots=3 #block=2"));
+  Alcotest.(check int) "nothing computed" 0 (Atomic.get calls);
+  Alcotest.(check string) "the refused journal is left as it was"
+    per_slot_journal (read_file path)
+
+let test_durability_due () =
+  let due = Resilience.Checkpointed.durability_due in
+  let period c =
+    Numerics.Young_daly.failstop_period ~c
+      ~lambda:(1. /. Resilience.Checkpointed.crash_mtbf)
+  in
+  Alcotest.(check (float 0.)) "one hour" 3600. Resilience.Checkpointed.crash_mtbf;
+  List.iter
+    (fun cost ->
+      let w = period cost in
+      Alcotest.(check bool) (Printf.sprintf "C=%g: not due before W" cost) false
+        (due ~cost ~work:(Float.pred w));
+      Alcotest.(check bool) (Printf.sprintf "C=%g: due at W" cost) true
+        (due ~cost ~work:w);
+      Alcotest.(check bool) (Printf.sprintf "C=%g: not due at 0" cost) false
+        (due ~cost ~work:0.))
+    [ 128e-6; 4.5e-6; 1e-9; 2. ];
+  (* The periods the journal's measured costs lead to. *)
+  Testutil.checkf ~eps:1e-3 "durable: C = 128 us, W = 0.96 s" 0.96 (period 128e-6);
+  Testutil.checkf ~eps:1e-3 "page cache: C = 4.5 us, W = 0.18 s" 0.18 (period 4.5e-6);
+  Alcotest.(check bool) "no measured cost yet: due" true (due ~cost:0. ~work:0.);
+  Alcotest.(check bool) "clock stepped back: due" true
+    (due ~cost:128e-6 ~work:(-1e-3))
+
+(* A run's journal reads back whole, durable run or raising one: every
+   exit ends in a durability point. *)
+let test_checkpointed_exit_durability () =
+  let path = temp_path () in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let pool = Parallel.Pool.sequential in
+  let n = 23 and batch = 4 in
+  let flushes run =
+    Tracing.Tracer.start ();
+    let outcome =
+      match run () with
+      | _ -> None
+      | exception (Parallel.Pool.Tasks_failed _ as e) -> Some e
+    in
+    match Tracing.Tracer.finish () with
+    | Some dump -> (outcome, List.assoc Tracing.Span.Journal_flushes dump.counters)
+    | None -> Alcotest.fail "no trace session"
+  in
+  let resume_slots () =
+    let slots = ref (-1) in
+    let calls = Atomic.make 0 in
+    ignore
+      (Resilience.Checkpointed.init_array ~pool
+         ~journal:(journal ~path ~resume:true "exit") ~batch
+         ~on_resume:(fun ~entries ~dropped:_ -> slots := entries)
+         n (counting_f calls));
+    (!slots, Atomic.get calls)
+  in
+  let outcome, points =
+    flushes (fun () ->
+        Resilience.Checkpointed.init_array ~pool
+          ~journal:(journal ~path "exit") ~batch n (counting_f (Atomic.make 0)))
+  in
+  Alcotest.(check bool) "durable run finishes" true (outcome = None);
+  (* Its header's fsync costs at least microseconds, so the period is
+     a fraction of a second at least, far beyond this run's 6 blocks:
+     its one point is the exit's (two if the header's cost read as 0). *)
+  Alcotest.(check bool)
+    (Printf.sprintf "and ends in a durability point, not one per block (%d)" points)
+    true
+    (points >= 1 && points <= 2);
+  Alcotest.(check (pair int int)) "every block reads back" (n, 0) (resume_slots ());
+  (* Slot 13 fails: blocks 0-2 complete, block 3 raises. *)
+  let outcome, points =
+    flushes (fun () ->
+        Resilience.Checkpointed.init_array ~pool
+          ~journal:(journal ~path "exit") ~batch n (fun i ->
+            if i = 13 then failwith "slot 13" else counting_f (Atomic.make 0) i))
+  in
+  (match outcome with
+  | Some (Parallel.Pool.Tasks_failed [ { Parallel.Pool.index = 13; _ } ]) -> ()
+  | _ -> Alcotest.fail "expected Tasks_failed at slot 13");
+  Alcotest.(check bool) "the raising run ends in a durability point" true
+    (points >= 1);
+  Alcotest.(check (pair int int)) "every completed block reads back" (12, n - 12)
+    (resume_slots ())
 
 let test_checkpointed_fingerprint_mismatch () =
   let path = temp_path () in
@@ -600,5 +750,13 @@ let () =
             test_checkpointed_fingerprint_mismatch;
           Alcotest.test_case "slot-count mismatch" `Quick
             test_checkpointed_slot_count_mismatch;
+          Alcotest.test_case "one record per block" `Quick
+            test_checkpointed_block_records;
+          Alcotest.test_case "per-slot journal refused" `Quick
+            test_checkpointed_per_slot_refused;
+          Alcotest.test_case "durability at the Young/Daly period" `Quick
+            test_durability_due;
+          Alcotest.test_case "every exit is durable" `Quick
+            test_checkpointed_exit_durability;
         ] );
     ]
