@@ -180,20 +180,22 @@ let send ?on_done c data =
    an in-process harness may run a daemon and a router side by side. *)
 let scratch = Domain.DLS.new_key (fun () -> Bytes.create 65536)
 
-let read c =
-  let chunk = Domain.DLS.get scratch in
-  let rec loop () =
-    match Unix.read c.fd chunk 0 (Bytes.length chunk) with
-    | 0 -> c.eof <- true
-    | n ->
-        Buffer.add_subbytes c.inbox chunk 0 n;
-        c.last_activity <- Metrics.now_s ();
-        loop ()
-    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
-    | exception Unix.Unix_error (EINTR, _, _) -> loop ()
-    | exception Unix.Unix_error (_, _, _) -> close c
-  in
-  if not c.eof then loop ()
+(* A read shorter than the chunk has drained the socket: whatever
+   arrives after it, EOF included, makes the next [select] report the
+   fd again. So only a full chunk reads on, and no read is issued just
+   to collect its EAGAIN. *)
+let rec read_into c chunk =
+  match Unix.read c.fd chunk 0 (Bytes.length chunk) with
+  | 0 -> c.eof <- true
+  | n ->
+      Buffer.add_subbytes c.inbox chunk 0 n;
+      c.last_activity <- Metrics.now_s ();
+      if n = Bytes.length chunk then read_into c chunk
+  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
+  | exception Unix.Unix_error (EINTR, _, _) -> read_into c chunk
+  | exception Unix.Unix_error (_, _, _) -> close c
+
+let read c = if not c.eof then read_into c (Domain.DLS.get scratch)
 
 type line = Line of string | Too_large
 

@@ -71,7 +71,11 @@ val lines : ?max_bytes:int -> t -> line list
 val read : t -> unit
 (** Read whatever the socket holds now, without waiting: {!poll} does
     this for readable connections; the router calls it to salvage a
-    failing worker's last responses. *)
+    failing worker's last responses. It reads until a read returns
+    less than its 64 KiB chunk, which has drained the socket, so it
+    never issues a read that can only fail with [EAGAIN]. An EOF
+    behind the bytes of a short read is noted by the next call, once
+    [select] reports the fd again. *)
 
 type events = {
   accepted : t list;  (** New clients, in accept order. *)

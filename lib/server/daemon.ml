@@ -35,17 +35,45 @@ let stop () = Atomic.set stop_requested true
 
 let float_or_null v = if Float.is_finite v then Json.Float v else Json.Null
 
-let result_response ~id ~route ~fingerprint ~cached ~(rendering : Render.rendering) =
-  Json.Obj
-    [
-      ("id", id);
-      ("status", Json.String "ok");
-      ("route", Json.String route);
-      ("fingerprint", Json.String fingerprint);
-      ("cached", Json.Bool cached);
-      ("exit", Json.Int (if rendering.ok then 0 else 1));
-      ("output", Json.String rendering.output);
-    ]
+(* An answer ready to write: its route and outcome, for the metrics,
+   and the line itself. *)
+type answer = { route : string; ok : bool; bytes : string }
+
+let answer_of ~route ~ok response =
+  { route; ok; bytes = Json.encode_line response }
+
+let id_prefix = "{\"id\":"
+
+(* A committed result as the bytes of two answers: the miss's line
+   ("cached":false) and what the cache keeps, the bytes of a hit's
+   answer ("cached":true) that follow its id. The members before and
+   after "cached" are encoded once, escaping [output] above all, and
+   both strings are blitted from them. *)
+let result_bytes ~id ~route ~fingerprint (rendering : Render.rendering) =
+  let head =
+    Json.encode_members
+      [
+        ("status", Json.String "ok");
+        ("route", Json.String route);
+        ("fingerprint", Json.String fingerprint);
+      ]
+  in
+  let tail =
+    Json.encode_members
+      [
+        ("exit", Json.Int (if rendering.ok then 0 else 1));
+        ("output", Json.String rendering.output);
+      ]
+  in
+  ( String.concat ""
+      [ id_prefix; Json.encode id; head; {|,"cached":false|}; tail; "}\n" ],
+    String.concat "" [ head; {|,"cached":true|}; tail; "}\n" ] )
+
+(* A hit's line: its own id, then the cached bytes. Those were built
+   without an id, never cut out of an encoded line, so whatever the id
+   holds (commas, a "cached" member of its own) cannot shift them. *)
+let hit_line ~id after_id =
+  String.concat "" [ id_prefix; Json.encode id; after_id ]
 
 let hardening_json ~counters ~queue_depth ~domains =
   let count c = Json.Int (Tracing.Counters.get counters c) in
@@ -189,15 +217,11 @@ let request_id line =
   | Ok json -> Option.value (Json.member "id" json) ~default:Json.Null
   | Error _ -> Json.Null
 
-(* One parsed-and-classified request line. *)
+(* One parsed-and-classified request line: answered at once (errors,
+   live routes and cache hits), or a miss to solve. *)
 type job =
-  | Immediate of { route : string; ok : bool; response : Json.t }
-  | Solve of {
-      id : Json.t;
-      request : Protocol.request;
-      fingerprint : string;
-      cached : Render.rendering option;
-    }
+  | Immediate of answer
+  | Solve of { id : Json.t; request : Protocol.request; fingerprint : string }
 
 (* ------------------------------------------------------------------ *)
 (* Dispatcher state                                                    *)
@@ -216,7 +240,7 @@ type state = {
   options : options;
   pool : Parallel.Pool.t;
   listeners : Conn.listener list;
-  cache : Render.rendering Lru.t;
+  cache : string Lru.t;  (* a committed answer's bytes after its id *)
   metrics : Metrics.t;
   counters : Tracing.Counters.t;
   domains : int;
@@ -237,44 +261,29 @@ let classify st ~ordinal line =
   match Json.decode line with
   | Error e ->
       Immediate
-        {
-          route = "invalid";
-          ok = false;
-          response =
-            Protocol.error_response ~id:Json.Null ~code:"parse"
+        (answer_of ~route:"invalid" ~ok:false
+           (Protocol.error_response ~id:Json.Null ~code:"parse"
               ~extra:[ ("position", Json.Int e.position) ]
-              e.message;
-        }
+              e.message))
   | Ok json -> (
       let id = Option.value (Json.member "id" json) ~default:Json.Null in
       match Protocol.parse json with
       | Error reason ->
           Immediate
-            {
-              route = "invalid";
-              ok = false;
-              response = Protocol.error_response ~id ~code:"bad-request" reason;
-            }
+            (answer_of ~route:"invalid" ~ok:false
+               (Protocol.error_response ~id ~code:"bad-request" reason))
       | Ok Protocol.Health ->
           Immediate
-            {
-              route = "health";
-              ok = true;
-              response =
-                health_response ~id ~metrics:st.metrics ~counters:st.counters
+            (answer_of ~route:"health" ~ok:true
+               (health_response ~id ~metrics:st.metrics ~counters:st.counters
                   ~queue_depth ~max_queue:st.options.max_queue
-                  ~domains:st.domains;
-            }
+                  ~domains:st.domains))
       | Ok Protocol.Stats ->
           Immediate
-            {
-              route = "stats";
-              ok = true;
-              response =
-                stats_response ~id ~metrics:st.metrics ~cache:st.cache
-                  ~counters:st.counters ~queue_depth ~domains:st.domains;
-            }
-      | Ok request ->
+            (answer_of ~route:"stats" ~ok:true
+               (stats_response ~id ~metrics:st.metrics ~cache:st.cache
+                  ~counters:st.counters ~queue_depth ~domains:st.domains))
+      | Ok request -> (
           let fingerprint = Protocol.fingerprint request in
           let cached =
             if Protocol.cacheable request then begin
@@ -289,7 +298,15 @@ let classify st ~ordinal line =
             end
             else None
           in
-          Solve { id; request; fingerprint; cached })
+          match cached with
+          | Some after_id ->
+              Immediate
+                {
+                  route = Protocol.route request;
+                  ok = true;
+                  bytes = hit_line ~id after_id;
+                }
+          | None -> Solve { id; request; fingerprint }))
 
 let io_fires kind ~ordinal =
   match Resilience.Chaos.io_active () with
@@ -318,17 +335,7 @@ let log_line st =
    or its connection dies: the latency from admission, for the metrics
    and the request span alike. A response that never reached its
    client is a failed request, whatever the solver said. *)
-let respond st a job =
-  let route, ok, response =
-    match job with
-    | Immediate { route; ok; response } -> (route, ok, response)
-    | Solve { id; request; fingerprint; cached = Some rendering } ->
-        ( Protocol.route request,
-          true,
-          result_response ~id ~route:(Protocol.route request) ~fingerprint
-            ~cached:true ~rendering )
-    | Solve { cached = None; _ } -> invalid_arg "Daemon.respond: unsolved job"
-  in
+let respond st a { route; ok; bytes } =
   let { conn; ordinal; admitted_at; line = _ } = a in
   (* Chaos: a deterministically chosen response is never written — the
      connection drops instead, as if the network gave out. *)
@@ -339,7 +346,6 @@ let respond st a job =
     Tracing.Tracer.complete ~id:ordinal ~label:route
       Tracing.Span.Daemon_request ~since:admitted_at
   in
-  let bytes = Json.encode_line response in
   if io_fires Resilience.Chaos.Torn ~ordinal then begin
     (* Chaos: serve the bytes one write at a time, exercising every
        partial-write path without changing what the peer reads. *)
@@ -379,7 +385,7 @@ let admit st ~shedding conn line =
         (Printf.sprintf "admission queue full (%d queued)" depth)
     in
     if not (Conn.dead conn) then
-      respond st a (Immediate { route = "shed"; ok = false; response })
+      respond st a (answer_of ~route:"shed" ~ok:false response)
   end
   else Queue.push a st.queue
 
@@ -457,21 +463,17 @@ let commit st a ~id ~request ~fingerprint outcome =
       (maybe_corrupt ~ordinal:a.ordinal outcome)
   in
   let route = Protocol.route request in
-  let response, ok =
-    match outcome with
-    | Ok rendering ->
-        if Protocol.cacheable request then
-          Lru.add st.cache fingerprint rendering;
-        let age = Metrics.now_s () -. a.admitted_at in
-        if past_deadline st age then
-          (deadline_error st ~id ~age "computing", false)
-        else
-          ( result_response ~id ~route ~fingerprint ~cached:false ~rendering,
-            true )
-    | Error message ->
-        (Protocol.error_response ~id ~code:"internal" message, false)
-  in
-  Immediate { route; ok; response }
+  match outcome with
+  | Ok rendering ->
+      let line, after_id = result_bytes ~id ~route ~fingerprint rendering in
+      if Protocol.cacheable request then Lru.add st.cache fingerprint after_id;
+      let age = Metrics.now_s () -. a.admitted_at in
+      if past_deadline st age then
+        answer_of ~route ~ok:false (deadline_error st ~id ~age "computing")
+      else { route; ok = true; bytes = line }
+  | Error message ->
+      answer_of ~route ~ok:false
+        (Protocol.error_response ~id ~code:"internal" message)
 
 (* Resolve up to [max_inflight] queued requests: expire the ones already
    past their deadline, classify the rest on the dispatcher (cache
@@ -489,20 +491,16 @@ let process st =
         if past_deadline st age then
           ( a,
             Immediate
-              {
-                route = "deadline";
-                ok = false;
-                response =
-                  deadline_error st ~id:(request_id a.line) ~age "queued";
-              } )
+              (answer_of ~route:"deadline" ~ok:false
+                 (deadline_error st ~id:(request_id a.line) ~age "queued")) )
         else (a, classify st ~ordinal:a.ordinal a.line))
       (take st.options.max_inflight [])
   in
   let misses =
     List.filter_map
       (function
-        | _, Solve { request; cached = None; _ } -> Some request
-        | _, (Immediate _ | Solve _) -> None)
+        | _, Solve { request; _ } -> Some request
+        | _, Immediate _ -> None)
       classified
   in
   (* A singleton miss keeps the dispatcher as the caller so the
@@ -517,10 +515,10 @@ let process st =
   in
   List.iter
     (fun (a, job) ->
-      let job =
+      let answer =
         match job with
-        | Immediate _ | Solve { cached = Some _; _ } -> job
-        | Solve { id; request; fingerprint; cached = None } ->
+        | Immediate answer -> answer
+        | Solve { id; request; fingerprint } ->
             let x =
               match !solved with
               | x :: rest ->
@@ -530,7 +528,7 @@ let process st =
             in
             commit st a ~id ~request ~fingerprint x
       in
-      if not (Conn.dead a.conn) then respond st a job)
+      if not (Conn.dead a.conn) then respond st a answer)
     classified
 
 (* ------------------------------------------------------------------ *)

@@ -28,10 +28,11 @@
     stops being served and holds up no one else. Responses go back in
     request order per connection — except shed responses, which are
     written at admission time; pipelined clients correlate by [id].
-    Because the solvers are
-    bit-identical for any domain count and the cache stores rendered
-    bytes, a served [output] equals the one-shot CLI stdout at any
-    [--domains], cache on or off.
+    Because the solvers are bit-identical for any domain count, a
+    served [output] equals the one-shot CLI stdout at any [--domains],
+    cache on or off. The cache stores each committed answer's encoded
+    bytes after its id, built in the miss's one encoding pass, so a hit
+    writes its own id and those bytes and re-encodes nothing.
 
     {2 Hardening}
 

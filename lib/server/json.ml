@@ -67,44 +67,53 @@ let escape_string buffer s =
   scan 0 0;
   Buffer.add_char buffer '"'
 
-let encode_into buffer value =
-  let rec go = function
-    | Null -> Buffer.add_string buffer "null"
-    | Bool b -> Buffer.add_string buffer (if b then "true" else "false")
-    | Int i -> Buffer.add_string buffer (string_of_int i)
-    | Float v -> Buffer.add_string buffer (float_repr v)
-    | String s -> escape_string buffer s
-    | List items ->
-        Buffer.add_char buffer '[';
-        List.iteri
-          (fun i item ->
-            if i > 0 then Buffer.add_char buffer ',';
-            go item)
-          items;
-        Buffer.add_char buffer ']'
-    | Obj members ->
-        Buffer.add_char buffer '{';
-        List.iteri
-          (fun i (key, item) ->
-            if i > 0 then Buffer.add_char buffer ',';
-            escape_string buffer key;
-            Buffer.add_char buffer ':';
-            go item)
-          members;
-        Buffer.add_char buffer '}'
-  in
-  go value
+let rec add_value buffer = function
+  | Null -> Buffer.add_string buffer "null"
+  | Bool b -> Buffer.add_string buffer (if b then "true" else "false")
+  | Int i -> Buffer.add_string buffer (string_of_int i)
+  | Float v -> Buffer.add_string buffer (float_repr v)
+  | String s -> escape_string buffer s
+  | List items ->
+      Buffer.add_char buffer '[';
+      List.iteri
+        (fun i item ->
+          if i > 0 then Buffer.add_char buffer ',';
+          add_value buffer item)
+        items;
+      Buffer.add_char buffer ']'
+  | Obj members ->
+      Buffer.add_char buffer '{';
+      List.iteri
+        (fun i member ->
+          if i > 0 then Buffer.add_char buffer ',';
+          add_member buffer member)
+        members;
+      Buffer.add_char buffer '}'
+
+and add_member buffer (key, item) =
+  escape_string buffer key;
+  Buffer.add_char buffer ':';
+  add_value buffer item
 
 let encode value =
   let buffer = Buffer.create 256 in
-  encode_into buffer value;
+  add_value buffer value;
   Buffer.contents buffer
 
 (* Sized for a rendered answer, under the minor heap's 2 KiB limit. *)
 let encode_line value =
   let buffer = Buffer.create 2000 in
-  encode_into buffer value;
+  add_value buffer value;
   Buffer.add_char buffer '\n';
+  Buffer.contents buffer
+
+let encode_members members =
+  let buffer = Buffer.create 2000 in
+  List.iter
+    (fun member ->
+      Buffer.add_char buffer ',';
+      add_member buffer member)
+    members;
   Buffer.contents buffer
 
 (* ------------------------------------------------------------------ *)
@@ -116,245 +125,295 @@ let error_to_string e = Printf.sprintf "byte %d: %s" e.position e.message
 
 exception Fail of error
 
-let decode ?(max_depth = 64) input =
-  let n = String.length input in
-  let pos = ref 0 in
-  let fail position message = raise (Fail { position; message }) in
-  let peek () = if !pos < n then Some input.[!pos] else None in
-  let advance () = incr pos in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | Some c' ->
-        fail !pos (Printf.sprintf "expected '%c', found '%c'" c c')
-    | None -> fail n (Printf.sprintf "expected '%c', found end of input" c)
-  in
-  let skip_ws () =
-    while
-      match peek () with
-      | Some (' ' | '\t' | '\n' | '\r') ->
-          advance ();
-          true
-      | Some _ | None -> false
-    do
-      ()
-    done
-  in
-  let literal word value =
-    let start = !pos in
-    let len = String.length word in
-    if start + len <= n && String.sub input start len = word then begin
-      pos := start + len;
-      value
-    end
-    else fail start (Printf.sprintf "invalid literal (expected %S)" word)
-  in
-  (* Decode \uXXXX (with surrogate pairs) to UTF-8 bytes. *)
-  let hex4 () =
-    if !pos + 4 > n then fail n "truncated \\u escape";
-    let v = ref 0 in
-    for _ = 1 to 4 do
-      let d =
-        match input.[!pos] with
-        | '0' .. '9' as c -> Char.code c - Char.code '0'
-        | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
-        | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
-        | c -> fail !pos (Printf.sprintf "invalid hex digit '%c'" c)
+let fail position message = raise (Fail { position; message })
+
+(* The one allocation a decode makes besides its values. Every reader
+   below is a top-level function of the cursor: a look at the next
+   byte allocates nothing and no closure is built per call. *)
+type cursor = {
+  input : string;
+  len : int;
+  mutable pos : int;
+  max_depth : int;
+}
+
+(* The byte at [i]; callers check [i < cur.len] first. *)
+let byte cur i = String.unsafe_get cur.input i
+let at cur c = cur.pos < cur.len && Char.equal (byte cur cur.pos) c
+
+let rec skip_ws cur =
+  if cur.pos < cur.len then
+    match byte cur cur.pos with
+    | ' ' | '\t' | '\n' | '\r' ->
+        cur.pos <- cur.pos + 1;
+        skip_ws cur
+    | _ -> ()
+
+let expect cur c =
+  if cur.pos >= cur.len then
+    fail cur.len (Printf.sprintf "expected '%c', found end of input" c)
+  else
+    let found = byte cur cur.pos in
+    if Char.equal found c then cur.pos <- cur.pos + 1
+    else fail cur.pos (Printf.sprintf "expected '%c', found '%c'" c found)
+
+(* Whether the input spells [word] at [start], from the word's byte [i]
+   on; callers check that the input is long enough. *)
+let rec spelled cur start word i =
+  i = String.length word
+  || Char.equal (byte cur (start + i)) (String.unsafe_get word i)
+     && spelled cur start word (i + 1)
+
+let literal cur word value =
+  let start = cur.pos in
+  let stop = start + String.length word in
+  if stop <= cur.len && spelled cur start word 0 then begin
+    cur.pos <- stop;
+    value
+  end
+  else fail start (Printf.sprintf "invalid literal (expected %S)" word)
+
+(* Decode \uXXXX (with surrogate pairs) to UTF-8 bytes. *)
+let hex4 cur =
+  if cur.pos + 4 > cur.len then fail cur.len "truncated \\u escape";
+  let v = ref 0 in
+  for _ = 1 to 4 do
+    let d =
+      match byte cur cur.pos with
+      | '0' .. '9' as c -> Char.code c - Char.code '0'
+      | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+      | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+      | c -> fail cur.pos (Printf.sprintf "invalid hex digit '%c'" c)
+    in
+    v := (!v * 16) + d;
+    cur.pos <- cur.pos + 1
+  done;
+  !v
+
+let add_utf8 buffer cp =
+  if cp < 0x80 then Buffer.add_char buffer (Char.chr cp)
+  else if cp < 0x800 then begin
+    Buffer.add_char buffer (Char.chr (0xc0 lor (cp lsr 6)));
+    Buffer.add_char buffer (Char.chr (0x80 lor (cp land 0x3f)))
+  end
+  else if cp < 0x10000 then begin
+    Buffer.add_char buffer (Char.chr (0xe0 lor (cp lsr 12)));
+    Buffer.add_char buffer (Char.chr (0x80 lor ((cp lsr 6) land 0x3f)));
+    Buffer.add_char buffer (Char.chr (0x80 lor (cp land 0x3f)))
+  end
+  else begin
+    Buffer.add_char buffer (Char.chr (0xf0 lor (cp lsr 18)));
+    Buffer.add_char buffer (Char.chr (0x80 lor ((cp lsr 12) land 0x3f)));
+    Buffer.add_char buffer (Char.chr (0x80 lor ((cp lsr 6) land 0x3f)));
+    Buffer.add_char buffer (Char.chr (0x80 lor (cp land 0x3f)))
+  end
+
+(* One escape, the cursor just past its backslash. *)
+let escape cur buffer =
+  if cur.pos >= cur.len then fail cur.len "truncated escape";
+  let c = byte cur cur.pos in
+  cur.pos <- cur.pos + 1;
+  match c with
+  | '"' -> Buffer.add_char buffer '"'
+  | '\\' -> Buffer.add_char buffer '\\'
+  | '/' -> Buffer.add_char buffer '/'
+  | 'n' -> Buffer.add_char buffer '\n'
+  | 'r' -> Buffer.add_char buffer '\r'
+  | 't' -> Buffer.add_char buffer '\t'
+  | 'b' -> Buffer.add_char buffer '\b'
+  | 'f' -> Buffer.add_char buffer '\012'
+  | 'u' ->
+      let escape_start = cur.pos - 2 in
+      let cp = hex4 cur in
+      let cp =
+        if cp >= 0xd800 && cp <= 0xdbff then begin
+          (* High surrogate: the low half must follow. *)
+          if
+            cur.pos + 2 <= cur.len
+            && Char.equal (byte cur cur.pos) '\\'
+            && Char.equal (byte cur (cur.pos + 1)) 'u'
+          then begin
+            cur.pos <- cur.pos + 2;
+            let low = hex4 cur in
+            if low >= 0xdc00 && low <= 0xdfff then
+              0x10000 + ((cp - 0xd800) lsl 10) + (low - 0xdc00)
+            else fail escape_start "unpaired high surrogate"
+          end
+          else fail escape_start "unpaired high surrogate"
+        end
+        else if cp >= 0xdc00 && cp <= 0xdfff then
+          fail escape_start "unpaired low surrogate"
+        else cp
       in
-      v := (!v * 16) + d;
-      advance ()
-    done;
-    !v
-  in
-  let add_utf8 buffer cp =
-    if cp < 0x80 then Buffer.add_char buffer (Char.chr cp)
-    else if cp < 0x800 then begin
-      Buffer.add_char buffer (Char.chr (0xc0 lor (cp lsr 6)));
-      Buffer.add_char buffer (Char.chr (0x80 lor (cp land 0x3f)))
-    end
-    else if cp < 0x10000 then begin
-      Buffer.add_char buffer (Char.chr (0xe0 lor (cp lsr 12)));
-      Buffer.add_char buffer (Char.chr (0x80 lor ((cp lsr 6) land 0x3f)));
-      Buffer.add_char buffer (Char.chr (0x80 lor (cp land 0x3f)))
-    end
-    else begin
-      Buffer.add_char buffer (Char.chr (0xf0 lor (cp lsr 18)));
-      Buffer.add_char buffer (Char.chr (0x80 lor ((cp lsr 12) land 0x3f)));
-      Buffer.add_char buffer (Char.chr (0x80 lor ((cp lsr 6) land 0x3f)));
-      Buffer.add_char buffer (Char.chr (0x80 lor (cp land 0x3f)))
-    end
-  in
-  let parse_string () =
-    expect '"';
-    let buffer = Buffer.create 16 in
-    let rec loop () =
-      match peek () with
-      | None -> fail n "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' ->
-          advance ();
-          (match peek () with
-          | None -> fail n "truncated escape"
-          | Some '"' -> advance (); Buffer.add_char buffer '"'
-          | Some '\\' -> advance (); Buffer.add_char buffer '\\'
-          | Some '/' -> advance (); Buffer.add_char buffer '/'
-          | Some 'n' -> advance (); Buffer.add_char buffer '\n'
-          | Some 'r' -> advance (); Buffer.add_char buffer '\r'
-          | Some 't' -> advance (); Buffer.add_char buffer '\t'
-          | Some 'b' -> advance (); Buffer.add_char buffer '\b'
-          | Some 'f' -> advance (); Buffer.add_char buffer '\012'
-          | Some 'u' ->
-              advance ();
-              let escape_start = !pos - 2 in
-              let cp = hex4 () in
-              let cp =
-                if cp >= 0xd800 && cp <= 0xdbff then begin
-                  (* High surrogate: the low half must follow. *)
-                  if
-                    !pos + 2 <= n
-                    && input.[!pos] = '\\'
-                    && input.[!pos + 1] = 'u'
-                  then begin
-                    advance ();
-                    advance ();
-                    let low = hex4 () in
-                    if low >= 0xdc00 && low <= 0xdfff then
-                      0x10000 + ((cp - 0xd800) lsl 10) + (low - 0xdc00)
-                    else fail escape_start "unpaired high surrogate"
-                  end
-                  else fail escape_start "unpaired high surrogate"
-                end
-                else if cp >= 0xdc00 && cp <= 0xdfff then
-                  fail escape_start "unpaired low surrogate"
-                else cp
-              in
-              add_utf8 buffer cp
-          | Some c ->
-              fail (!pos) (Printf.sprintf "invalid escape '\\%c'" c));
-          loop ()
-      | Some c when Char.code c < 0x20 ->
-          fail !pos "unescaped control character in string"
-      | Some c ->
-          advance ();
-          Buffer.add_char buffer c;
-          loop ()
-    in
-    loop ();
-    Buffer.contents buffer
-  in
-  let parse_number () =
-    let start = !pos in
-    let accept predicate =
-      match peek () with
-      | Some c when predicate c ->
-          advance ();
-          true
-      | Some _ | None -> false
-    in
-    let digit c = c >= '0' && c <= '9' in
-    ignore (accept (( = ) '-'));
-    if not (accept digit) then fail !pos "expected digit";
-    while accept digit do () done;
-    let is_float = ref false in
-    if accept (( = ) '.') then begin
-      is_float := true;
-      if not (accept digit) then fail !pos "expected digit after '.'";
-      while accept digit do () done
-    end;
-    if accept (fun c -> c = 'e' || c = 'E') then begin
-      is_float := true;
-      ignore (accept (fun c -> c = '+' || c = '-'));
-      if not (accept digit) then fail !pos "expected digit in exponent";
-      while accept digit do () done
-    end;
-    let text = String.sub input start (!pos - start) in
-    if !is_float then Float (float_of_string text)
-    else
-      match int_of_string_opt text with
-      | Some i -> Int i
-      | None -> Float (float_of_string text)
-  in
-  let rec parse_value depth =
-    if depth > max_depth then fail !pos "nesting too deep";
-    skip_ws ();
-    match peek () with
-    | None -> fail n "expected a value, found end of input"
-    | Some 'n' -> literal "null" Null
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some '"' -> String (parse_string ())
-    | Some ('-' | '0' .. '9') -> parse_number ()
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          List []
-        end
-        else begin
-          let items = ref [] in
-          let rec loop () =
-            items := parse_value (depth + 1) :: !items;
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                loop ()
-            | Some ']' -> advance ()
-            | Some c ->
-                fail !pos
-                  (Printf.sprintf "expected ',' or ']' in list, found '%c'" c)
-            | None -> fail n "unterminated list"
-          in
-          loop ();
-          List (List.rev !items)
-        end
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else begin
-          let members = ref [] in
-          let rec loop () =
-            skip_ws ();
-            (match peek () with
-            | Some '"' -> ()
-            | Some c ->
-                fail !pos
-                  (Printf.sprintf "expected object key, found '%c'" c)
-            | None -> fail n "expected object key, found end of input");
-            let key = parse_string () in
-            skip_ws ();
-            expect ':';
-            let value = parse_value (depth + 1) in
-            members := (key, value) :: !members;
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                loop ()
-            | Some '}' -> advance ()
-            | Some c ->
-                fail !pos
-                  (Printf.sprintf "expected ',' or '}' in object, found '%c'"
-                     c)
-            | None -> fail n "unterminated object"
-          in
-          loop ();
-          Obj (List.rev !members)
-        end
-    | Some c -> fail !pos (Printf.sprintf "unexpected character '%c'" c)
-  in
+      add_utf8 buffer cp
+  | c -> fail (cur.pos - 1) (Printf.sprintf "invalid escape '\\%c'" c)
+
+(* The body of a string from byte [i] on, up to its closing quote. Up
+   to the first backslash it is scanned in place and, with no escape
+   at all, taken with one [String.sub]; from there [buffer] holds what
+   precedes [run], and each run of plain bytes is copied with one
+   blit. *)
+let rec plain_string cur start i =
+  if i >= cur.len then fail cur.len "unterminated string"
+  else
+    match byte cur i with
+    | '"' ->
+        cur.pos <- i + 1;
+        String.sub cur.input start (i - start)
+    | '\\' -> escaped_string cur (Buffer.create (i - start + 16)) start i
+    | c when Char.code c < 0x20 ->
+        fail i "unescaped control character in string"
+    | _ -> plain_string cur start (i + 1)
+
+and escaped_string cur buffer run i =
+  if i >= cur.len then fail cur.len "unterminated string"
+  else
+    match byte cur i with
+    | '"' ->
+        Buffer.add_substring buffer cur.input run (i - run);
+        cur.pos <- i + 1;
+        Buffer.contents buffer
+    | '\\' ->
+        Buffer.add_substring buffer cur.input run (i - run);
+        cur.pos <- i + 1;
+        escape cur buffer;
+        escaped_string cur buffer cur.pos cur.pos
+    | c when Char.code c < 0x20 ->
+        fail i "unescaped control character in string"
+    | _ -> escaped_string cur buffer run (i + 1)
+
+(* A string, the cursor on its opening quote. *)
+let parse_string cur = plain_string cur (cur.pos + 1) (cur.pos + 1)
+
+let is_digit c = c >= '0' && c <= '9'
+
+let rec skip_digits cur =
+  if cur.pos < cur.len && is_digit (byte cur cur.pos) then begin
+    cur.pos <- cur.pos + 1;
+    skip_digits cur
+  end
+
+(* At least one digit, then as many as follow; [fail] with [message]
+   at the first non-digit otherwise. *)
+let digits cur message =
+  if cur.pos < cur.len && is_digit (byte cur cur.pos) then skip_digits cur
+  else fail cur.pos message
+
+(* The decimal value of the digits from [i] to [stop], at most 18 of
+   them, so that it cannot overflow. *)
+let rec small_int cur i stop acc =
+  if i = stop then acc
+  else small_int cur (i + 1) stop ((acc * 10) + Char.code (byte cur i) - 48)
+
+(* A number whose value a double cannot hold is refused at its first
+   byte: [Float] is finite by contract. *)
+let finite_float cur start =
+  let v = float_of_string (String.sub cur.input start (cur.pos - start)) in
+  if Float.is_finite v then Float v else fail start "number out of range"
+
+let parse_number cur =
+  let start = cur.pos in
+  let negative = at cur '-' in
+  if negative then cur.pos <- cur.pos + 1;
+  let first = cur.pos in
+  digits cur "expected digit";
+  let stop = cur.pos in
+  let fraction = at cur '.' in
+  if fraction then begin
+    cur.pos <- cur.pos + 1;
+    digits cur "expected digit after '.'"
+  end;
+  let exponent = at cur 'e' || at cur 'E' in
+  if exponent then begin
+    cur.pos <- cur.pos + 1;
+    if at cur '+' || at cur '-' then cur.pos <- cur.pos + 1;
+    digits cur "expected digit in exponent"
+  end;
+  if fraction || exponent then finite_float cur start
+  else if stop - first <= 18 then
+    let v = small_int cur first stop 0 in
+    Int (if negative then -v else v)
+  else
+    match int_of_string_opt (String.sub cur.input start (stop - start)) with
+    | Some i -> Int i
+    | None -> finite_float cur start
+
+let rec parse_value cur depth =
+  if depth > cur.max_depth then fail cur.pos "nesting too deep";
+  skip_ws cur;
+  if cur.pos >= cur.len then
+    fail cur.len "expected a value, found end of input";
+  match byte cur cur.pos with
+  | 'n' -> literal cur "null" Null
+  | 't' -> literal cur "true" (Bool true)
+  | 'f' -> literal cur "false" (Bool false)
+  | '"' -> String (parse_string cur)
+  | '-' | '0' .. '9' -> parse_number cur
+  | '[' ->
+      cur.pos <- cur.pos + 1;
+      skip_ws cur;
+      if at cur ']' then begin
+        cur.pos <- cur.pos + 1;
+        List []
+      end
+      else List (items cur depth [])
+  | '{' ->
+      cur.pos <- cur.pos + 1;
+      skip_ws cur;
+      if at cur '}' then begin
+        cur.pos <- cur.pos + 1;
+        Obj []
+      end
+      else Obj (members cur depth [])
+  | c -> fail cur.pos (Printf.sprintf "unexpected character '%c'" c)
+
+and items cur depth acc =
+  let acc = parse_value cur (depth + 1) :: acc in
+  skip_ws cur;
+  if cur.pos >= cur.len then fail cur.len "unterminated list";
+  match byte cur cur.pos with
+  | ',' ->
+      cur.pos <- cur.pos + 1;
+      items cur depth acc
+  | ']' ->
+      cur.pos <- cur.pos + 1;
+      List.rev acc
+  | c ->
+      fail cur.pos (Printf.sprintf "expected ',' or ']' in list, found '%c'" c)
+
+and members cur depth acc =
+  skip_ws cur;
+  if cur.pos >= cur.len then
+    fail cur.len "expected object key, found end of input";
+  (match byte cur cur.pos with
+  | '"' -> ()
+  | c -> fail cur.pos (Printf.sprintf "expected object key, found '%c'" c));
+  let key = parse_string cur in
+  skip_ws cur;
+  expect cur ':';
+  let acc = (key, parse_value cur (depth + 1)) :: acc in
+  skip_ws cur;
+  if cur.pos >= cur.len then fail cur.len "unterminated object";
+  match byte cur cur.pos with
+  | ',' ->
+      cur.pos <- cur.pos + 1;
+      members cur depth acc
+  | '}' ->
+      cur.pos <- cur.pos + 1;
+      List.rev acc
+  | c ->
+      fail cur.pos
+        (Printf.sprintf "expected ',' or '}' in object, found '%c'" c)
+
+let decode ?(max_depth = 64) input =
+  let cur = { input; len = String.length input; pos = 0; max_depth } in
   match
-    let value = parse_value 0 in
-    skip_ws ();
-    (match peek () with
-    | Some c ->
-        fail !pos (Printf.sprintf "trailing garbage starting with '%c'" c)
-    | None -> ());
+    let value = parse_value cur 0 in
+    skip_ws cur;
+    if cur.pos < cur.len then
+      fail cur.pos
+        (Printf.sprintf "trailing garbage starting with '%c'"
+           (byte cur cur.pos));
     value
   with
   | value -> Ok value

@@ -17,7 +17,8 @@ type t =
   | Int of int
   | Float of float
       (** Finite only: the encoder raises [Invalid_argument] on NaN or
-          infinities, which JSON cannot represent. *)
+          infinities, which JSON cannot represent, and the decoder
+          never produces them. *)
   | String of string  (** UTF-8 bytes; encoder escapes as needed. *)
   | List of t list
   | Obj of (string * t) list
@@ -33,6 +34,13 @@ val encode_line : t -> string
 (** [encode v ^ "\n"], built in one buffer: a protocol line ready to
     send, without copying the encoding to append its newline. *)
 
+val encode_members : (string * t) list -> string
+(** The members as {!encode} writes them inside an object, each one
+    preceded by a comma: [,"k1":v1,"k2":v2]. Spliced after an object's
+    first members and closed with ['}'], they encode the rest of that
+    object, so a caller can encode the members it shares between
+    several objects once and assemble each object by blits. *)
+
 type error = { position : int; message : string }
 (** [position] is the 0-based byte offset of the offending character
     (= input length when the input ends too early). *)
@@ -44,7 +52,14 @@ val decode : ?max_depth:int -> string -> (t, error) result
 (** Parse one complete JSON value; trailing bytes other than
     whitespace are an error. Numbers with a ['.'], exponent, or too
     many digits for a native [int] decode as [Float], everything else
-    as [Int]. [max_depth] (default 64) bounds list/object nesting. *)
+    as [Int]. A number a double cannot hold ([1e999], [-1e400], a
+    400-digit integer) is an error at its first byte, ["number out of
+    range"]: every decoded [Float] is finite, so every decoded value
+    encodes. [max_depth] (default 64) bounds list/object nesting.
+
+    The decoder allocates per value, not per byte: a string without
+    escapes is one [String.sub], an integer of up to 18 digits no
+    string at all. *)
 
 (** {2 Accessors} — total, for protocol code that prefers [option] to
     pattern-matching every shape. *)

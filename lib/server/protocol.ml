@@ -112,18 +112,33 @@ let route = function
   | Health -> "health"
   | Stats -> "stats"
 
+(* [key] then [v] as ["%.17g"] prints it: [Report.Decimal] makes the
+   same [caml_format_float] call as [Printf], without its format
+   interpreter. *)
+let add_float b key v =
+  Buffer.add_string b key;
+  Report.Decimal.add_general b 17 v
+
 let canonical = function
   | Optimize { config; rho; single_speed } ->
-      Printf.sprintf "optimize config=%s rho=%.17g mode=%s"
-        (Platforms.Config.name config)
-        rho
-        (if single_speed then "single-speed" else "two-speeds")
-  | Frontier { config } ->
-      Printf.sprintf "frontier config=%s" (Platforms.Config.name config)
+      let b = Buffer.create 80 in
+      Buffer.add_string b "optimize config=";
+      Buffer.add_string b (Platforms.Config.name config);
+      add_float b " rho=" rho;
+      Buffer.add_string b
+        (if single_speed then " mode=single-speed" else " mode=two-speeds");
+      Buffer.contents b
+  | Frontier { config } -> "frontier config=" ^ Platforms.Config.name config
   | Evaluate { config; w; sigma1; sigma2; replicas } ->
-      Printf.sprintf "evaluate config=%s w=%.17g s1=%.17g s2=%.17g replicas=%d"
-        (Platforms.Config.name config)
-        w sigma1 sigma2 replicas
+      let b = Buffer.create 128 in
+      Buffer.add_string b "evaluate config=";
+      Buffer.add_string b (Platforms.Config.name config);
+      add_float b " w=" w;
+      add_float b " s1=" sigma1;
+      add_float b " s2=" sigma2;
+      Buffer.add_string b " replicas=";
+      Buffer.add_string b (Int.to_string replicas);
+      Buffer.contents b
   | Health -> "health"
   | Stats -> "stats"
 

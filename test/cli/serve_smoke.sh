@@ -5,7 +5,8 @@
 # a structured error without killing the daemon; SIGTERM drains with
 # exit code 0 and removes the socket file. A TCP round on an ephemeral
 # port (EADDRINUSE-retrying, so concurrent runs cannot collide) checks
-# the same identity over the other listener family.
+# the same identity over the other listener family. A number a double
+# cannot hold gets a parse error and leaves the daemon serving.
 #
 # Usage: sh serve_smoke.sh path/to/rexspeed.exe path/to/serve_client.exe
 set -eu
@@ -91,6 +92,15 @@ for d in 1 2 4; do
   [ "$code" = "parse" ] || fail "d=$d: expected a parse error, got $code"
   health=$("$client" "$sock" '{"route":"health"}' result.status)
   [ "$health" = "serving" ] || fail "d=$d: daemon down after malformed request"
+  # A number a double cannot hold is a parse error, and the same
+  # process keeps answering.
+  code=$("$client" "$sock" '{"route":"health","id":1e999}' error.code) ||
+    fail "d=$d: no answer to an out-of-range number"
+  [ "$code" = "parse" ] || fail "d=$d: out-of-range number: expected a parse error, got $code"
+  kill -0 "$server_pid" 2>/dev/null || fail "d=$d: daemon died on an out-of-range number"
+  health=$("$client" "$sock" '{"route":"health"}' result.status) ||
+    fail "d=$d: no answer after an out-of-range number"
+  [ "$health" = "serving" ] || fail "d=$d: daemon down after an out-of-range number"
 
   stop_server
 done

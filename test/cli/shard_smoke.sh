@@ -8,7 +8,8 @@
 # no orphaned worker processes. Workers must run the router's
 # --domains, and the router must keep serving a pipelined burst, and
 # everyone else while one client stops reading, without failing over a
-# healthy worker.
+# healthy worker. A number a double cannot hold gets a parse error and
+# leaves the router serving.
 #
 # Usage: sh shard_smoke.sh path/to/rexspeed.exe path/to/serve_client.exe
 set -eu
@@ -109,6 +110,15 @@ for shards in 2 3; do
     check_identity "$d" "shards=$shards d=$d hit"
     routed=$("$client" "$sock" '{"route":"health"}' result.router.routed)
     [ "$routed" -ge 6 ] || fail "router.routed=$routed after 6 requests"
+    # A number a double cannot hold is a parse error, and the same
+    # router keeps answering.
+    code=$("$client" "$sock" '{"route":"health","id":1e999}' error.code) ||
+      fail "shards=$shards d=$d: no answer to an out-of-range number"
+    [ "$code" = "parse" ] ||
+      fail "shards=$shards d=$d: out-of-range number: expected a parse error, got $code"
+    kill -0 "$router_pid" 2>/dev/null ||
+      fail "shards=$shards d=$d: router died on an out-of-range number"
+    check_identity "$d" "shards=$shards d=$d after an out-of-range number"
     stop_router
   done
 done

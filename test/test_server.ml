@@ -198,6 +198,19 @@ let test_json_decode () =
     {|"Aé"|};
   ok "surrogate pair" (Server.Json.String "\xf0\x9f\x98\x80")
     {|"😀"|};
+  ok "underflow is not out of range"
+    (Server.Json.List [ Server.Json.Float 0.; Server.Json.Float (-0.) ])
+    "[1e-400, -1e-400]";
+  ok "integers at the native bounds"
+    (Server.Json.List
+       [
+         Server.Json.Int max_int;
+         Server.Json.Int min_int;
+         Server.Json.Int 999_999_999_999_999_999;
+         Server.Json.Float 4611686018427387904.;
+       ])
+    "[4611686018427387903, -4611686018427387904, 999999999999999999, \
+     4611686018427387904]";
   ok "duplicate keys preserved"
     (Server.Json.Obj [ ("k", Server.Json.Int 1); ("k", Server.Json.Int 2) ])
     {|{"k":1,"k":2}|};
@@ -226,6 +239,11 @@ let test_json_error_positions () =
   check "bad escape" {|"a\q"|} 3 "invalid escape";
   check "unpaired surrogate" {|"\ud83d"|} 1 "unpaired high surrogate";
   check "control character" "\"a\001\"" 2 "unescaped control character";
+  (* A number a double cannot hold is refused at its first byte. *)
+  check "out-of-range exponent" {|{"route":"health","id":1e999}|} 23
+    "number out of range";
+  check "out-of-range negative" "[1, -1e400]" 4 "number out of range";
+  check "out-of-range integer" (String.make 400 '9') 0 "number out of range";
   (* 65 opening brackets: the depth guard fires entering level 65 with
      max_depth = 64, after the 65th '[' has been consumed. *)
   check "nesting too deep"
@@ -436,6 +454,128 @@ let test_protocol_fingerprint () =
   Alcotest.(check bool)
     "stats is live" false
     (Server.Protocol.cacheable Server.Protocol.Stats)
+
+(* The canonical text as [Printf] wrote it before it moved to a
+   buffer: fingerprints, cache keys and shard owners all hash it. *)
+let printf_canonical = function
+  | Server.Protocol.Optimize { config; rho; single_speed } ->
+      Printf.sprintf "optimize config=%s rho=%.17g mode=%s"
+        (Platforms.Config.name config)
+        rho
+        (if single_speed then "single-speed" else "two-speeds")
+  | Server.Protocol.Frontier { config } ->
+      Printf.sprintf "frontier config=%s" (Platforms.Config.name config)
+  | Server.Protocol.Evaluate { config; w; sigma1; sigma2; replicas } ->
+      Printf.sprintf "evaluate config=%s w=%.17g s1=%.17g s2=%.17g replicas=%d"
+        (Platforms.Config.name config)
+        w sigma1 sigma2 replicas
+  | Server.Protocol.Health -> "health"
+  | Server.Protocol.Stats -> "stats"
+
+let test_fingerprint_printf_reference () =
+  let rng = Prng.Rng.create ~seed:118 in
+  let configs = Array.of_list Platforms.Config.all in
+  let bits () =
+    Int64.logor
+      (Int64.shift_left (Int64.of_int (Prng.Rng.int rng ~bound:(1 lsl 32))) 32)
+      (Int64.of_int (Prng.Rng.int rng ~bound:(1 lsl 32)))
+  in
+  (* Integers, subnormals, huge and tiny magnitudes, values "%.17g"
+     prints in exponent form, the benchmark's six-decimal bounds, and
+     arbitrary bit patterns (signs, zeros, infinities and NaNs
+     included). *)
+  let special =
+    [|
+      1.; 3.; 1e300; 1e-300; 5e-324; 2.2250738585072009e-308; Float.max_float;
+      1e-5; 1.5e-7; 1e16; 1e17; 123456789012345678.; 0.1; 1e21; 0.;
+    |]
+  in
+  let value () =
+    match Prng.Rng.int rng ~bound:7 with
+    | 0 -> float_of_int (Prng.Rng.int rng ~bound:1_000_000)
+    | 1 -> Prng.Rng.pick rng special
+    | 2 ->
+        (* Subnormal: a zero exponent field under a non-zero mantissa. *)
+        Int64.float_of_bits
+          (Int64.of_int (1 + Prng.Rng.int rng ~bound:((1 lsl 52) - 1)))
+    | 3 -> 10. ** Prng.Rng.uniform rng ~lo:(-30.) ~hi:30.
+    | 4 ->
+        float_of_string
+          (Printf.sprintf "%.6f" (Prng.Rng.uniform rng ~lo:0.5 ~hi:5.))
+    | 5 -> Prng.Rng.uniform rng ~lo:0. ~hi:1e6
+    | _ -> Int64.float_of_bits (bits ())
+  in
+  let mismatches = ref 0 in
+  for i = 1 to 100_000 do
+    let config = Prng.Rng.pick rng configs in
+    let request =
+      match i mod 3 with
+      | 0 ->
+          Server.Protocol.Optimize
+            {
+              config;
+              rho = value ();
+              single_speed = Prng.Rng.bernoulli rng ~p:0.5;
+            }
+      | 1 -> Server.Protocol.Frontier { config }
+      | _ ->
+          Server.Protocol.Evaluate
+            {
+              config;
+              w = value ();
+              sigma1 = value ();
+              sigma2 = value ();
+              replicas = Prng.Rng.int rng ~bound:100_000;
+            }
+    in
+    let want = printf_canonical request in
+    if
+      not
+        (String.equal (Server.Protocol.canonical request) want
+        && String.equal
+             (Server.Protocol.fingerprint request)
+             (Resilience.Checksum.hex_of_string want))
+    then begin
+      incr mismatches;
+      if !mismatches <= 5 then Printf.eprintf "canonical mismatch: %S\n" want
+    end
+  done;
+  Alcotest.(check int) "fingerprints off the Printf text" 0 !mismatches
+
+(* Every key of the benchmark's hot working set, for a spread of
+   seeds, keeps the shard its Printf-era fingerprint was owned by. *)
+let test_hot_keys_keep_shards () =
+  let maps =
+    List.map (fun shards -> Server.Shard_map.create ~shards) [ 2; 3; 4 ]
+  in
+  List.iter
+    (fun seed ->
+      let hot = Perfbench.Gen.hot ~seed ~round:0 in
+      for k = 0 to Perfbench.Gen.hot_keys - 1 do
+        let line = Perfbench.Gen.hot_line hot ~id:k k in
+        let request =
+          match
+            Server.Protocol.parse (expect_ok line (Server.Json.decode line))
+          with
+          | Ok r -> r
+          | Error reason -> Alcotest.failf "%s: %s" line reason
+        in
+        let before =
+          Resilience.Checksum.hex_of_string (printf_canonical request)
+        in
+        List.iter
+          (fun map ->
+            if
+              Server.Shard_map.lookup map (Server.Protocol.fingerprint request)
+              <> Server.Shard_map.lookup map before
+            then
+              Alcotest.failf "seed %d: %s moved to another of %d shards"
+                seed line
+                (Server.Shard_map.shards map))
+          maps
+      done)
+    (List.init 20 (fun i -> i + 1)
+    @ [ 71; 72; 73; 74; 81; 82; 83; 91; 92; 93; 101; 102; 103 ])
 
 (* ------------------------------------------------------------------ *)
 (* Render                                                              *)
@@ -765,6 +905,143 @@ let hardening_counter stats path =
   | None ->
       Alcotest.failf "stats lacks hardening counter %s"
         (String.concat "." path)
+
+(* Lines off a socket, read a chunk at a time: a test that reads
+   hundreds of answers cannot afford [read_line_fd]'s read per byte. *)
+type line_reader = { fd : Unix.file_descr; pending : Buffer.t; chunk : Bytes.t }
+
+let line_reader fd =
+  { fd; pending = Buffer.create 4096; chunk = Bytes.create 65536 }
+
+(* The next line, with its newline. *)
+let rec next_line r =
+  let data = Buffer.contents r.pending in
+  match String.index_opt data '\n' with
+  | Some i ->
+      Buffer.clear r.pending;
+      Buffer.add_substring r.pending data (i + 1) (String.length data - i - 1);
+      String.sub data 0 (i + 1)
+  | None ->
+      (match Unix.read r.fd r.chunk 0 (Bytes.length r.chunk) with
+      | 0 -> Alcotest.fail "connection closed before a full response line"
+      | n -> Buffer.add_subbytes r.pending r.chunk 0 n);
+      next_line r
+
+let test_daemon_hit_bytes () =
+  (* The bytes a hit writes are those [Json.encode_line] writes for the
+     whole "cached":true answer, and a miss writes the "cached":false
+     one, for every kind of id: a hit puts its own id before bytes the
+     cache keeps without one, so an id holding commas, or a "cached"
+     member of its own, must change nothing after it. *)
+  let open Server.Json in
+  let ids =
+    [
+      Int 7; Int (-42); Float 2.5; String "q\"u\\o\nte\001 \xc3\xa9"; Null;
+      List [ Int 1; List [ Int 2; Obj [ ("z", Bool true) ] ] ];
+      Obj
+        [
+          ("k", List [ Int 1; Int 2; Obj [ ("z", Bool true) ] ]);
+          ("cached", Bool false);
+          ("s", String "a,b");
+        ];
+    ]
+  in
+  let queries =
+    List.concat_map
+      (fun config ->
+        let env = Core.Env.of_config config in
+        let name = Platforms.Config.name config in
+        let optimize =
+          List.concat_map
+            (fun rho ->
+              List.map
+                (fun (mode, single) ->
+                  ( "optimize",
+                    [
+                      ("config", String name);
+                      ("rho", Float rho);
+                      ("single_speed", Bool single);
+                    ],
+                    fun () -> Server.Render.optimize ~mode ~env ~name ~rho () ))
+                [
+                  (Core.Bicrit.Two_speeds, false);
+                  (Core.Bicrit.Single_speed, true);
+                ])
+            [ 0.8; 1.16; 1.5; 2.25; 3.; 4.8 ]
+        in
+        ( "frontier",
+          [ ("config", String name) ],
+          fun () -> Server.Render.frontier ~env ~name () )
+        :: ( "evaluate",
+             [
+               ("config", String name);
+               ("w", Float 2764.);
+               ("s1", Float 0.4);
+               ("s2", Float 1.);
+             ],
+             fun () ->
+               Server.Render.evaluate ~env ~w:2764. ~sigma1:0.4 ~sigma2:1.
+                 ~replicas:0 () )
+        :: optimize)
+      Platforms.Config.all
+  in
+  let answer ~id ~route ~fingerprint ~cached (r : Server.Render.rendering) =
+    encode_line
+      (Obj
+         [
+           ("id", id);
+           ("status", String "ok");
+           ("route", String route);
+           ("fingerprint", String fingerprint);
+           ("cached", Bool cached);
+           ("exit", Int (if r.ok then 0 else 1));
+           ("output", String r.output);
+         ])
+  in
+  with_daemon Server.Daemon.default_options @@ fun socket_path ->
+  with_client socket_path @@ fun fd ->
+  let reader = line_reader fd in
+  let mismatches = ref 0 and answers = ref 0 in
+  let check label want got =
+    incr answers;
+    if not (String.equal want got) then begin
+      incr mismatches;
+      if !mismatches <= 3 then
+        Printf.eprintf "%s:\n  want %S\n  got  %S\n" label want got
+    end
+  in
+  List.iteri
+    (fun q (route, params, render) ->
+      let request id =
+        encode_line
+          (Obj
+             [ ("route", String route); ("id", id); ("params", Obj params) ])
+      in
+      let fingerprint =
+        match
+          Server.Protocol.parse (expect_ok route (decode (request Null)))
+        with
+        | Ok r -> Server.Protocol.fingerprint r
+        | Error reason -> Alcotest.failf "%s: %s" route reason
+      in
+      let rendering = render () in
+      (* The miss alone: requests classified in its batch would miss too. *)
+      let miss_id = List.nth ids (q mod List.length ids) in
+      write_all fd (request miss_id);
+      check ("miss " ^ fingerprint)
+        (answer ~id:miss_id ~route ~fingerprint ~cached:false rendering)
+        (next_line reader);
+      write_all fd (String.concat "" (List.map request ids));
+      List.iter
+        (fun id ->
+          check ("hit " ^ fingerprint)
+            (answer ~id ~route ~fingerprint ~cached:true rendering)
+            (next_line reader))
+        ids)
+    queries;
+  Alcotest.(check int)
+    (Printf.sprintf "answers unlike Json.encode_line's, of %d" !answers)
+    0 !mismatches
 
 let test_daemon_deadline () =
   (* With a 1 ms deadline and one inflight slot, a cheap request
@@ -1421,6 +1698,128 @@ let test_json_mutation_total () =
     done
   done
 
+(* ------------------------------------------------------------------ *)
+(* The cursor decoder against the closure decoder it replaced          *)
+
+let rec non_finite = function
+  | Server.Json.Float v -> not (Float.is_finite v)
+  | Server.Json.List items -> List.exists non_finite items
+  | Server.Json.Obj members -> List.exists (fun (_, v) -> non_finite v) members
+  | Server.Json.Null | Server.Json.Bool _ | Server.Json.Int _
+  | Server.Json.String _ ->
+      false
+
+(* The JSON number that starts at byte [p]. *)
+let number_at s p =
+  let n = String.length s in
+  let rec digits i =
+    if i < n && s.[i] >= '0' && s.[i] <= '9' then digits (i + 1) else i
+  in
+  let i = digits (if p < n && s.[p] = '-' then p + 1 else p) in
+  let i = if i < n && s.[i] = '.' then digits (i + 1) else i in
+  let i =
+    if i < n && (s.[i] = 'e' || s.[i] = 'E') then
+      digits
+        (if i + 1 < n && (s.[i + 1] = '+' || s.[i + 1] = '-') then i + 2
+         else i + 1)
+    else i
+  in
+  String.sub s p (i - p)
+
+(* Both decoders return equal values or the same error, except on a
+   number a double cannot hold: the reference decodes it to an
+   infinite [Float] (or fails later in the input), the cursor decoder
+   refuses it at its first byte. *)
+let decoders_agree ?max_depth input =
+  match
+    ( Server.Json.decode ?max_depth input,
+      Json_reference.decode ?max_depth input )
+  with
+  | Ok v, Ok v' -> json_equal v v'
+  | Error { position; message = "number out of range" }, reference -> (
+      (match Json_reference.decode (number_at input position) with
+      | Ok (Server.Json.Float v) -> not (Float.is_finite v)
+      | Ok _ | Error _ -> false)
+      &&
+      match reference with
+      | Ok v -> non_finite v
+      | Error e -> e.position > position)
+  | Error e, Error e' ->
+      e.position = e'.position && String.equal e.message e'.message
+  | Ok _, Error _ | Error _, Ok _ -> false
+
+let test_json_decoder_differential () =
+  let checked = ref 0 and disagreements = ref 0 in
+  let check ?max_depth input =
+    incr checked;
+    if not (decoders_agree ?max_depth input) then begin
+      incr disagreements;
+      if !disagreements <= 5 then
+        Printf.eprintf "decoders disagree on %S\n" input
+    end
+  in
+  List.iter check
+    [
+      ""; " "; "nul"; "truex"; "[1,]"; "{\"a\" 1}"; "{,}"; "[1 2]"; "-"; "-x";
+      "1."; "1.e5"; "1e"; "1e+"; "01"; "-0"; "1E5"; "-1e-400"; "1e999";
+      "[1e999"; "[1e999,"; "{\"k\":-1e400}"; "123456789012345678";
+      "1234567890123456789"; "-4611686018427387904"; "4611686018427387904";
+      "-4611686018427387905"; String.make 309 '9'; String.make 400 '7' ^ "x";
+      {|"\u00e9\ud83d\ude00"|}; {|"\ud83d"|}; {|"\ud83dx"|}; {|"\ud83d\u0041"|};
+      {|"\ude00"|}; {|"\u12"|}; {|"\u12g4"|}; {|"\q"|}; "\"a\\"; "\"a\001\"";
+      {|"a\/b\bc\fd\re\tf\ng\"h\\"|}; "{\"a\":1 \"b\":2}"; "[\"x\" ]]";
+      "{\"a\"}"; "\t{ \"a\" : [ null , true , false ] }\r\n";
+    ];
+  (* The depth guard, at and past the bound. *)
+  List.iter
+    (fun depth ->
+      check ~max_depth:3 (String.make depth '[' ^ String.make depth ']');
+      check ~max_depth:3 (String.make depth '{'))
+    [ 1; 3; 4; 5 ];
+  let rng = Prng.Rng.create ~seed:19 in
+  for _ = 1 to 2000 do
+    let encoded = Server.Json.encode (gen_json_value rng 3) in
+    let n = String.length encoded in
+    check encoded;
+    check ~max_depth:1 encoded;
+    for cut = 0 to n - 1 do
+      check (String.sub encoded 0 cut)
+    done;
+    for _ = 1 to 8 do
+      let mutated = Bytes.of_string encoded in
+      Bytes.set mutated
+        (Prng.Rng.int rng ~bound:n)
+        (Char.chr (Prng.Rng.int rng ~bound:256));
+      check (Bytes.to_string mutated)
+    done
+  done;
+  Alcotest.(check int)
+    (Printf.sprintf "disagreements over %d inputs" !checked)
+    0 !disagreements
+
+(* Words the minor heap takes per decode of [line], over many decodes. *)
+let minor_words_per_decode decode line =
+  ignore (decode line);
+  let runs = 1000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to runs do
+    ignore (Sys.opaque_identity (decode line))
+  done;
+  (Gc.minor_words () -. before) /. float_of_int runs
+
+let test_json_decode_allocation () =
+  (* A perfbench request line: the shape every serve-hot request has. *)
+  let line =
+    {|{"route":"optimize","id":104729,"params":{"config":"coastal ssd/crusoe","rho":3.141593,"single_speed":false}}|}
+  in
+  let words = minor_words_per_decode Server.Json.decode line in
+  let reference = minor_words_per_decode Json_reference.decode line in
+  if words >= 250. then
+    Alcotest.failf
+      "decoding a request line takes %.0f minor words (the closure decoder \
+       %.0f); the bound is 250"
+      words reference
+
 let test_metrics_window () =
   let m = Server.Metrics.create () in
   (* An early spike must age out of the bounded p99 window once a full
@@ -1467,11 +1866,19 @@ let () =
             test_json_prng_roundtrip;
           Alcotest.test_case "single-byte mutations are total" `Quick
             test_json_mutation_total;
+          Alcotest.test_case "decoder = closure-decoder reference" `Quick
+            test_json_decoder_differential;
+          Alcotest.test_case "request line allocation" `Quick
+            test_json_decode_allocation;
         ] );
       ( "protocol",
         [
           Alcotest.test_case "parse" `Quick test_protocol_parse;
           Alcotest.test_case "fingerprint" `Quick test_protocol_fingerprint;
+          Alcotest.test_case "fingerprint = Printf-era checksum" `Quick
+            test_fingerprint_printf_reference;
+          Alcotest.test_case "hot keys keep their shards" `Quick
+            test_hot_keys_keep_shards;
         ] );
       ( "shard-map",
         [
@@ -1488,6 +1895,8 @@ let () =
       ( "daemon",
         [
           Alcotest.test_case "end to end" `Quick test_daemon_end_to_end;
+          Alcotest.test_case "hit and miss bytes pinned" `Quick
+            test_daemon_hit_bytes;
           Alcotest.test_case "health and stats shape" `Quick
             test_daemon_telemetry_shape;
         ] );
