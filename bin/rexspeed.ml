@@ -1206,6 +1206,13 @@ let serve_cmd =
   let run port socket cache_entries max_request_bytes max_inflight log_every
       deadline_ms io_timeout_ms max_queue verify_sample shards
       shard_spawn_timeout_ms =
+    (* SIGINT/SIGTERM drain the server. The handlers are in place before
+       anything starts, so a signal that lands while a fleet is still
+       spawning its workers drains it too instead of orphaning them. *)
+    let stop = Atomic.make false in
+    let request_stop = Sys.Signal_handle (fun _ -> Atomic.set stop true) in
+    Sys.set_signal Sys.sigterm request_stop;
+    Sys.set_signal Sys.sigint request_stop;
     let daemon =
       {
         Server.Daemon.port;
@@ -1214,7 +1221,6 @@ let serve_cmd =
         max_request_bytes;
         max_inflight;
         log_every;
-        handle_signals = true;
         deadline_ms;
         io_timeout_ms;
         max_queue;
@@ -1223,8 +1229,9 @@ let serve_cmd =
     in
     (* Every worker is this same binary running a single-process
        [serve] on a private socket; the router forwards the tuning
-       flags verbatim and pins the resolved domain count so workers do
-       not re-read REXSPEED_DOMAINS differently. REXSPEED_SHARDS itself
+       flags verbatim (the line limit it sets itself, with room for the
+       id it splices in) and pins the resolved domain count so workers
+       do not re-read REXSPEED_DOMAINS differently. REXSPEED_SHARDS itself
        is stripped from the worker environment by the supervisor, so a
        worker can never recurse into a router. *)
     let router =
@@ -1238,7 +1245,6 @@ let serve_cmd =
         worker_args =
           [
             ("--cache-entries", cache_entries);
-            ("--max-request-bytes", max_request_bytes);
             ("--max-inflight", max_inflight);
             ("--log-every", log_every);
             ("--deadline-ms", deadline_ms);
@@ -1248,7 +1254,6 @@ let serve_cmd =
             ("--domains", Parallel.Pool.(domains (default ())));
           ]
           |> List.concat_map (fun (flag, v) -> [ flag; string_of_int v ]);
-        handle_signals = true;
       }
     in
     (* Options are checked where they are used, before anything starts:
@@ -1260,8 +1265,8 @@ let serve_cmd =
     let served =
       match checked with
       | Error message -> die Cmd.Exit.cli_error message
-      | Ok () when shards = 1 -> Server.Daemon.run daemon
-      | Ok () -> Server.Router.run router
+      | Ok () when shards = 1 -> Server.Daemon.run ~stop daemon
+      | Ok () -> Server.Router.run ~stop router
     in
     match served with Ok () -> 0 | Error message -> die exit_config message
   in

@@ -5,7 +5,6 @@ type options = {
   max_request_bytes : int;
   max_inflight : int;
   log_every : int;
-  handle_signals : bool;
   deadline_ms : int;
   io_timeout_ms : int;
   max_queue : int;
@@ -20,15 +19,11 @@ let default_options =
     max_request_bytes = 1024 * 1024;
     max_inflight = 64;
     log_every = 0;
-    handle_signals = true;
     deadline_ms = 0;
     io_timeout_ms = 30_000;
     max_queue = 0;
     verify_sample = 0;
   }
-
-let stop_requested = Atomic.make false
-let stop () = Atomic.set stop_requested true
 
 (* ------------------------------------------------------------------ *)
 (* Responses                                                           *)
@@ -628,14 +623,9 @@ let validate options =
   else if options.verify_sample < 0 then Error "--verify-sample must be >= 0"
   else Ok ()
 
-let serve ?pool ?on_ready options listeners =
-  Atomic.set stop_requested false;
+let serve ?pool ?on_ready ~stop options listeners =
   let pool = match pool with Some p -> p | None -> Parallel.Pool.default () in
   let previous_sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
-  if options.handle_signals then begin
-    Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> stop ()));
-    Sys.set_signal Sys.sigint (Sys.Signal_handle (fun _ -> stop ()))
-  end;
   let st =
     {
       options;
@@ -661,14 +651,14 @@ let serve ?pool ?on_ready options listeners =
       Printf.eprintf "rexspeed serve: listening on %s\n%!" (Conn.endpoint l))
     listeners;
   Option.iter (fun f -> f ()) on_ready;
-  while not (Atomic.get stop_requested) do
+  while not (Atomic.get stop) do
     sweep st
   done;
   drain st;
   Printf.eprintf "rexspeed serve: drained, %d request(s) served\n%!" st.served;
   ignore (Sys.signal Sys.sigpipe previous_sigpipe)
 
-let run ?pool ?on_ready options =
+let run ?pool ?on_ready ~stop options =
   match validate options with
   | Error _ as e -> e
   | Ok () -> (
@@ -683,5 +673,5 @@ let run ?pool ?on_ready options =
               Option.iter
                 (fun path -> try Unix.unlink path with Unix.Unix_error _ -> ())
                 options.socket_path)
-            (fun () -> serve ?pool ?on_ready options listeners);
+            (fun () -> serve ?pool ?on_ready ~stop options listeners);
           Ok ())

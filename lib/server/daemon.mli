@@ -70,7 +70,7 @@
 
     {2 Shutdown}
 
-    SIGINT/SIGTERM (or {!stop}) triggers a graceful drain: listeners
+    Setting the run's [stop] flag triggers a graceful drain: listeners
     close, every admitted request — queued-but-unstarted ones included
     — and every fully-received request still in a socket buffer is
     answered (shedding off), then connections close and {!run}
@@ -95,9 +95,6 @@ type options = {
   log_every : int;
       (** Emit a stderr stats line every N completed requests;
           [0] disables. *)
-  handle_signals : bool;
-      (** Install SIGINT/SIGTERM drain handlers ([true] from the CLI;
-          in-process harnesses use {!stop} instead). *)
   deadline_ms : int;
       (** Per-request compute deadline: a request older than this when
           dispatched, or whose computation finishes past it, is
@@ -121,12 +118,8 @@ type options = {
 
 val default_options : options
 (** No listeners, 256 cache entries, 1 MiB request limit, 64 in
-    flight, no periodic log, signals handled; no deadline, 30 s I/O
-    timeout, unbounded queue, verification off. *)
-
-val stop : unit -> unit
-(** Request a graceful drain of the running daemon; safe to call from
-    a signal handler or another domain. *)
+    flight, no periodic log; no deadline, 30 s I/O timeout, unbounded
+    queue, verification off. *)
 
 val validate : options -> (unit, string) result
 (** [Error] naming the offending flag: the endpoints
@@ -135,9 +128,14 @@ val validate : options -> (unit, string) result
     option is a usage error. *)
 
 val run :
-  ?pool:Parallel.Pool.t -> ?on_ready:(unit -> unit) -> options ->
-  (unit, string) result
-(** Serve until drained. [on_ready] fires once listeners are bound
+  ?pool:Parallel.Pool.t -> ?on_ready:(unit -> unit) -> stop:bool Atomic.t ->
+  options -> (unit, string) result
+(** Serve until [stop] is set, then drain. The flag is the caller's and
+    this run only reads it: set it from another domain or a signal
+    handler (the CLI's SIGINT/SIGTERM handlers do, installed before
+    [run] starts), and only this daemon drains. A flag already set when
+    [run] starts ends the run after its drain. SIGPIPE is ignored while
+    the daemon runs. [on_ready] fires once listeners are bound
     (test/bench synchronization). [Error message] reports an invalid
     option, a listener that could not be bound, or a socket path owned
     by a live daemon; [Ok ()] is a clean drain. *)

@@ -15,7 +15,6 @@ type options = {
   max_request_bytes : int;
   worker_exe : string;
   worker_args : string list;
-  handle_signals : bool;
 }
 
 let default_options =
@@ -27,11 +26,7 @@ let default_options =
     max_request_bytes = 1024 * 1024;
     worker_exe = "rexspeed";
     worker_args = [];
-    handle_signals = true;
   }
-
-let stop_requested = Atomic.make false
-let stop () = Atomic.set stop_requested true
 
 (* How long queued bytes may wait on a stuck peer before its connection
    is dropped, how often each worker is probed, and how long an
@@ -107,58 +102,42 @@ let rewrite_request ~ordinal line =
         (String.sub line (i + 1) (String.length line - i - 1))
   | None -> Printf.sprintf "{\"id\":%d}" ordinal (* unreachable *)
 
-(* Every daemon response builder emits [id] as the first member, so a
-   worker line starts with {"id":<ordinal>, — parse just that prefix
-   and remember where the rest begins. Returns the ordinal and [Some
-   offset] of the byte after the digits (the comma), or [None] offset
-   when the fast path missed and the caller must fall back to a full
-   decode. *)
-let response_ordinal line =
-  let prefix = "{\"id\":" in
-  let plen = String.length prefix in
-  let n = String.length line in
-  let fast =
-    if n > plen + 1 && String.equal (String.sub line 0 plen) prefix then begin
-      let i = ref plen in
-      while !i < n && line.[!i] >= '0' && line.[!i] <= '9' do
-        incr i
-      done;
-      if !i > plen && !i < n && line.[!i] = ',' then
-        Some (int_of_string (String.sub line plen (!i - plen)), Some !i)
-      else None
-    end
-    else None
+(* A worker's line limit: the client's plus the longest splice
+   [rewrite_request] makes ("id":, a 19-digit ordinal and a comma), so
+   every line the router forwards fits the worker. *)
+let worker_line_limit max_bytes =
+  let splice =
+    String.length "\"id\":," + String.length (string_of_int max_int)
   in
-  match fast with
-  | Some _ as found -> found
-  | None -> (
-      match Json.decode line with
-      | Error _ -> None
-      | Ok json -> (
-          match Json.member "id" json with
-          | Some (Json.Int ordinal) -> Some (ordinal, None)
-          | Some _ | None -> None))
+  if max_bytes > max_int - splice then max_int else max_bytes + splice
 
-(* Restore the client's id: splice bytes on the fast path (the relayed
-   payload — [output] above all — stays exactly the worker's bytes),
-   re-encode only when the prefix shape ever changes. *)
+let id_prefix = "{\"id\":"
+
+(* Every forwarded line fits its worker and every daemon response
+   builder emits [id] as the first member, so a worker answer starts
+   {"id":<ordinal>, — parse just that prefix and remember where the
+   rest begins (the comma). A line without the prefix matches no
+   entry and is dropped. *)
+let response_ordinal line =
+  let plen = String.length id_prefix and n = String.length line in
+  if not (String.starts_with ~prefix:id_prefix line) then None
+  else begin
+    let i = ref plen in
+    while !i < n && line.[!i] >= '0' && line.[!i] <= '9' do
+      incr i
+    done;
+    if !i > plen && !i < n && line.[!i] = ',' then
+      Option.map
+        (fun ordinal -> (ordinal, !i))
+        (int_of_string_opt (String.sub line plen (!i - plen)))
+    else None
+  end
+
+(* Restore the client's id by splicing bytes: the relayed payload —
+   [output] above all — stays exactly the worker's bytes. *)
 let restore_id ~id line rest_at =
-  match rest_at with
-  | Some i ->
-      "{\"id\":" ^ Json.encode id ^ String.sub line i (String.length line - i)
-  | None -> (
-      match Json.decode line with
-      | Ok (Json.Obj members) ->
-          Json.encode
-            (Json.Obj
-               (("id", id)
-               :: List.filter (fun (k, _) -> not (String.equal k "id")) members
-               ))
-      | Ok other -> Json.encode other
-      | Error _ ->
-          Json.encode
-            (Protocol.error_response ~id ~code:"internal"
-               "unparseable shard response"))
+  id_prefix ^ Json.encode id
+  ^ String.sub line rest_at (String.length line - rest_at)
 
 (* ------------------------------------------------------------------ *)
 (* Fleet-wide aggregation                                              *)
@@ -345,7 +324,10 @@ let spawn_worker st shard =
   let socket_path = shard.worker.Supervisor.socket_path in
   match
     Supervisor.spawn ~exe:st.options.worker_exe
-      ~args:("serve" :: "--socket" :: socket_path :: st.options.worker_args)
+      ~args:
+        ("serve" :: "--socket" :: socket_path :: "--max-request-bytes"
+        :: string_of_int (worker_line_limit st.options.max_request_bytes)
+        :: st.options.worker_args)
       shard.worker
   with
   | Error _ as e -> e
@@ -741,23 +723,27 @@ let cleanup st =
     st.options.socket_path
 
 (* Spawn the whole fleet before accepting traffic, then route until
-   stopped and drain. *)
-let serve ?on_ready st =
+   stopped and drain. A stop that lands during startup spawns no
+   further worker and ends the run there: nothing was admitted, so
+   there is nothing to drain, and [cleanup] terminates the workers
+   already spawned. *)
+let serve ?on_ready ~stop st =
   let startup =
     Array.fold_left
       (fun acc shard ->
-        match acc with Error _ as e -> e | Ok () -> spawn_worker st shard)
+        match acc with
+        | Error _ as e -> e
+        | Ok () -> if Atomic.get stop then acc else spawn_worker st shard)
       (Ok ()) st.shards
   in
   match startup with
   | Error e ->
       List.iter Conn.close_listener st.listeners;
       Error e
+  | Ok () when Atomic.get stop ->
+      List.iter Conn.close_listener st.listeners;
+      Ok ()
   | Ok () ->
-      if st.options.handle_signals then begin
-        Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> stop ()));
-        Sys.set_signal Sys.sigint (Sys.Signal_handle (fun _ -> stop ()))
-      end;
       List.iter
         (fun l ->
           Printf.eprintf
@@ -765,7 +751,7 @@ let serve ?on_ready st =
             (Conn.endpoint l) st.options.shards)
         st.listeners;
       Option.iter (fun f -> f ()) on_ready;
-      while not (Atomic.get stop_requested) do
+      while not (Atomic.get stop) do
         sweep st ~accepting:true ~timeout:0.2
       done;
       drain st;
@@ -774,18 +760,17 @@ let serve ?on_ready st =
         st.served;
       Ok ()
 
-let run ?on_ready options =
+let run ?on_ready ~stop options =
   match validate options with
   | Error _ as e -> e
   | Ok () -> (
       match Conn.listen ~port:options.port ~socket_path:options.socket_path with
       | Error _ as e -> e
       | Ok listeners ->
-          Atomic.set stop_requested false;
           let st = create options listeners in
           let previous_sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
           Fun.protect
             ~finally:(fun () ->
               cleanup st;
               ignore (Sys.signal Sys.sigpipe previous_sigpipe))
-            (fun () -> serve ?on_ready st))
+            (fun () -> serve ?on_ready ~stop st))

@@ -67,27 +67,20 @@ type options = {
       (** How long a spawned worker may take to accept connections
           before startup (or failover) gives up on it. *)
   max_request_bytes : int;
-      (** Reject client lines longer than this (workers enforce their
-          own copy of the same bound). *)
+      (** Reject client lines longer than this. Each worker gets this
+          limit plus the longest id splice ("id":, 19 digits and a
+          comma), so every line the router forwards fits it and every
+          worker answer carries the router's ordinal. *)
   worker_exe : string;  (** Binary to exec for each worker. *)
   worker_args : string list;
       (** Extra [serve] flags forwarded to every worker (cache size,
           deadlines, verification...). The router adds [serve],
-          [--socket PATH] itself. *)
-  handle_signals : bool;
-      (** Install SIGINT/SIGTERM drain handlers ([true] from the CLI;
-          in-process harnesses use {!stop} instead). *)
+          [--socket PATH] and [--max-request-bytes] itself. *)
 }
 
 val default_options : options
 (** No public listeners, 2 shards, 10 s spawn timeout, 1 MiB request
-    limit, ["rexspeed"] worker binary, no extra args, signals
-    handled. *)
-
-val stop : unit -> unit
-(** Request a graceful drain: answer everything in flight, SIGTERM the
-    workers, clean up sockets. Safe from a signal handler or another
-    domain. *)
+    limit, ["rexspeed"] worker binary, no extra args. *)
 
 val validate : options -> (unit, string) result
 (** [Error] naming the offending flag: the endpoints
@@ -95,8 +88,18 @@ val validate : options -> (unit, string) result
     timeout and the request size limit. {!run} calls it first. The
     workers' own options are the daemon's ({!Daemon.validate}). *)
 
-val run : ?on_ready:(unit -> unit) -> options -> (unit, string) result
-(** Spawn the fleet and route until drained. [on_ready] fires once the
-    public listeners are bound and every worker accepted its probe.
-    [Error message] reports invalid options, an unbindable listener,
-    or a worker that could not be spawned at startup. *)
+val run :
+  ?on_ready:(unit -> unit) -> stop:bool Atomic.t -> options ->
+  (unit, string) result
+(** Spawn the fleet and route until [stop] is set, then drain: answer
+    everything in flight, SIGTERM the workers, clean up sockets. The
+    flag is the caller's and this run only reads it; the CLI's
+    SIGINT/SIGTERM handlers set it and are installed before [run]
+    starts. A flag set while the fleet is still starting (or before
+    [run]) spawns no further worker and returns [Ok ()] without
+    serving; the workers already spawned are terminated, so none
+    outlives the router. SIGPIPE is ignored while the router runs.
+    [on_ready] fires once the public listeners are bound and every
+    worker accepted its probe. [Error message] reports invalid
+    options, an unbindable listener, or a worker that could not be
+    spawned at startup. *)

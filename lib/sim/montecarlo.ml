@@ -32,12 +32,16 @@ let replicate ?pool ?journal ?on_resume ~replicas ~seed run =
   Resilience.Checkpointed.init_array ?pool ?journal ?on_resume replicas
     (fun i -> run rngs.(i))
 
+(* One replica of one pattern, on a fresh machine. *)
+let pattern_replica ~model ~power ~w ~sigma1 ~sigma2 rng =
+  let machine = Machine.create power in
+  Executor.run_pattern ~model ~machine ~rng ~w ~sigma1 ~sigma2 ()
+
 let pattern_estimate ?pool ?journal ?on_resume ~replicas ~seed ~model ~power ~w
     ~sigma1 ~sigma2 () =
   let outcomes =
-    replicate ?pool ?journal ?on_resume ~replicas ~seed (fun rng ->
-        let machine = Machine.create power in
-        Executor.run_pattern ~model ~machine ~rng ~w ~sigma1 ~sigma2 ())
+    replicate ?pool ?journal ?on_resume ~replicas ~seed
+      (pattern_replica ~model ~power ~w ~sigma1 ~sigma2)
   in
   {
     time =
@@ -84,20 +88,14 @@ let make_check ~label ~z ~expected (observed : Numerics.Stats.summary) =
   in
   { label; expected; observed; z = score; ok = score <= z }
 
-let samples_of ?pool ?journal ?on_resume ~replicas ~seed ~model ~power ~w
-    ~sigma1 ~sigma2 () =
-  replicate ?pool ?journal ?on_resume ~replicas ~seed (fun rng ->
-      let machine = Machine.create power in
-      Executor.run_pattern ~model ~machine ~rng ~w ~sigma1 ~sigma2 ())
-
 let checks ?(z = 3.89) ?pool ?journal ?on_resume ~replicas ~seed ~model ~power
     ~w ~sigma1 ~sigma2 () =
   (* One simulation pass feeds all three comparisons; the time, energy
      and re-execution checks are different projections of the same
      outcomes, not reasons to pay the simulation cost three times. *)
   let outcomes =
-    samples_of ?pool ?journal ?on_resume ~replicas ~seed ~model ~power ~w
-      ~sigma1 ~sigma2 ()
+    replicate ?pool ?journal ?on_resume ~replicas ~seed
+      (pattern_replica ~model ~power ~w ~sigma1 ~sigma2)
   in
   let summarize f = Numerics.Stats.summarize (Array.map f outcomes) in
   let time =
@@ -118,24 +116,6 @@ let checks ?(z = 3.89) ?pool ?journal ?on_resume ~replicas ~seed ~model ~power
            float_of_int o.re_executions))
   in
   { pattern_time = time; pattern_energy = energy; re_executions }
-
-let check_pattern_time ?z ?pool ?journal ?on_resume ~replicas ~seed ~model
-    ~power ~w ~sigma1 ~sigma2 () =
-  (checks ?z ?pool ?journal ?on_resume ~replicas ~seed ~model ~power ~w ~sigma1
-     ~sigma2 ())
-    .pattern_time
-
-let check_pattern_energy ?z ?pool ?journal ?on_resume ~replicas ~seed ~model
-    ~power ~w ~sigma1 ~sigma2 () =
-  (checks ?z ?pool ?journal ?on_resume ~replicas ~seed ~model ~power ~w ~sigma1
-     ~sigma2 ())
-    .pattern_energy
-
-let check_reexecutions ?z ?pool ?journal ?on_resume ~replicas ~seed ~model
-    ~power ~w ~sigma1 ~sigma2 () =
-  (checks ?z ?pool ?journal ?on_resume ~replicas ~seed ~model ~power ~w ~sigma1
-     ~sigma2 ())
-    .re_executions
 
 let pp_check ppf c =
   Format.fprintf ppf

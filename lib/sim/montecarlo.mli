@@ -68,35 +68,11 @@ val checks :
   model:Core.Mixed.t -> power:Core.Power.t -> w:float -> sigma1:float ->
   sigma2:float -> unit -> pattern_checks
 (** All three closed-form comparisons from a {e single} simulation
-    pass — use this instead of calling the three [check_*] functions,
-    which would each re-simulate the same seed. [z] (default 3.89,
-    ~1e-4 two-sided) sets the acceptance width. *)
-
-val check_pattern_time :
-  ?z:float -> ?pool:Parallel.Pool.t -> ?journal:Resilience.Checkpointed.journal ->
-  ?on_resume:(entries:int -> dropped:bool -> unit) -> replicas:int -> seed:int ->
-  model:Core.Mixed.t -> power:Core.Power.t -> w:float -> sigma1:float ->
-  sigma2:float -> unit -> check
-(** [(checks ...).pattern_time] — compare the simulated mean pattern
-    time against {!Core.Mixed.expected_time}. Runs one simulation
-    pass; prefer {!checks} when more than one projection is needed. *)
-
-val check_pattern_energy :
-  ?z:float -> ?pool:Parallel.Pool.t -> ?journal:Resilience.Checkpointed.journal ->
-  ?on_resume:(entries:int -> dropped:bool -> unit) -> replicas:int -> seed:int ->
-  model:Core.Mixed.t -> power:Core.Power.t -> w:float -> sigma1:float ->
-  sigma2:float -> unit -> check
-(** [(checks ...).pattern_energy] — same comparison for
-    {!Core.Mixed.expected_energy}. *)
-
-val check_reexecutions :
-  ?z:float -> ?pool:Parallel.Pool.t -> ?journal:Resilience.Checkpointed.journal ->
-  ?on_resume:(entries:int -> dropped:bool -> unit) -> replicas:int -> seed:int ->
-  model:Core.Mixed.t -> power:Core.Power.t -> w:float -> sigma1:float ->
-  sigma2:float -> unit -> check
-(** [(checks ...).re_executions] — compare the simulated mean number
-    of re-executions against the closed form [(1 - P1) / P2] implied
-    by the recursion — equal to {!Core.Exact.expected_reexecutions}
-    when [lambda_f = 0.]. *)
+    pass: simulated mean pattern time against
+    {!Core.Mixed.expected_time}, energy against
+    {!Core.Mixed.expected_energy}, and re-executions against the
+    closed form [(1 - P1) / P2] implied by the recursion (equal to
+    {!Core.Exact.expected_reexecutions} when [lambda_f = 0.]). [z]
+    (default 3.89, ~1e-4 two-sided) sets the acceptance width. *)
 
 val pp_check : Format.formatter -> check -> unit

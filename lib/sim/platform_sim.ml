@@ -63,61 +63,57 @@ type outcome = {
   errors_by_node : int array;
 }
 
-type node_event = Crash of int | Corruption of int
-
 type attempt_result =
   | Success
   | Silent of int list
-  | Crashed of int * float
+  | Crashed of int
 
 (* One coordinated attempt at [speed]: every node computes for
-   [w/speed] and verifies for [v/speed] wall-clock. Per-node arrivals
-   go through the event queue; the earliest decisive event settles the
-   attempt. *)
+   [w/speed] and verifies for [v/speed] wall-clock. One pass over the
+   per-node arrivals, drawn in node order: the earliest crash settles
+   the attempt (the lower node on a tie); without one, every corrupted
+   node fails the verification. *)
 let attempt ~trace t ~machine ~rng ~w ~speed =
   let compute_wall = w /. speed in
   let verify_wall = t.v /. speed in
-  let exposure = compute_wall +. verify_wall in
-  let queue = Pqueue.create () in
+  let crash_node = ref (-1) and crash_at = ref (compute_wall +. verify_wall) in
+  let corrupted = ref [] in
   for node = 0 to nodes t - 1 do
     if t.node_lambda_f.(node) > 0. then begin
       let arrival =
         Prng.Rng.exponential rng ~rate:t.node_lambda_f.(node)
       in
-      if arrival < exposure then Pqueue.push queue ~priority:arrival (Crash node)
+      if arrival < !crash_at then begin
+        crash_node := node;
+        crash_at := arrival
+      end
     end;
     if t.node_lambda_s.(node) > 0. then begin
       let arrival =
         Prng.Rng.exponential rng ~rate:t.node_lambda_s.(node)
       in
-      if arrival < compute_wall then
-        Pqueue.push queue ~priority:arrival (Corruption node)
+      if arrival < compute_wall then corrupted := node :: !corrupted
     end
   done;
-  (* Walk events in time order: the first Crash preempts everything;
-     Corruptions accumulate silently until then. *)
-  let rec settle corrupted =
-    match Pqueue.pop queue with
-    | Some (at, Crash node) -> Crashed (node, at)
-    | Some (_, Corruption node) -> settle (node :: corrupted)
-    | None -> if corrupted = [] then Success else Silent (List.rev corrupted)
-  in
   let run = Executor.run_segment ~trace machine ~speed in
-  match settle [] with
-  | Crashed (node, at) ->
-      run (Fail_stop { elapsed = at });
-      run (Recovery { duration = t.r });
-      Crashed (node, at)
-  | Silent corrupted_nodes ->
-      run (Compute { speed; duration = compute_wall; work = w });
-      run (Verify { speed; duration = verify_wall; passed = false });
-      run (Recovery { duration = t.r });
-      Silent corrupted_nodes
-  | Success ->
-      run (Compute { speed; duration = compute_wall; work = w });
-      run (Verify { speed; duration = verify_wall; passed = true });
+  if !crash_node >= 0 then begin
+    run (Fail_stop { elapsed = !crash_at });
+    run (Recovery { duration = t.r });
+    Crashed !crash_node
+  end
+  else begin
+    let passed = !corrupted = [] in
+    run (Compute { speed; duration = compute_wall; work = w });
+    run (Verify { speed; duration = verify_wall; passed });
+    if passed then begin
       run (Checkpoint { duration = t.c });
       Success
+    end
+    else begin
+      run (Recovery { duration = t.r });
+      Silent !corrupted
+    end
+  end
 
 let run_pattern ?trace t ~machine ~rng ~w ~sigma1 ~sigma2 () =
   if w <= 0. then invalid_arg "Platform_sim.run_pattern: non-positive w";
@@ -143,7 +139,7 @@ let run_pattern ?trace t ~machine ~rng ~w ~sigma1 ~sigma2 () =
           corrupted_nodes;
         go ~speed:sigma2 ~re_executions:(re_executions + 1)
           ~silent:(silent + 1) ~fail_stop
-    | Crashed (node, _) ->
+    | Crashed node ->
         errors_by_node.(node) <- errors_by_node.(node) + 1;
         go ~speed:sigma2 ~re_executions:(re_executions + 1) ~silent
           ~fail_stop:(fail_stop + 1)

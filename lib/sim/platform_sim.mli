@@ -6,7 +6,7 @@
     that platform explicitly: each node carries its own Poisson error
     processes; a pattern computes for [w /. sigma] wall-clock seconds
     on all nodes simultaneously; the earliest fail-stop arrival across
-    nodes (found with the {!Pqueue} event queue) kills the attempt, and
+    nodes (one scan over the per-node draws) kills the attempt, and
     a silent error on any node is caught by the coordinated
     end-of-pattern verification. By superposition of Poisson processes
     this is distributionally the aggregate model with the *summed*

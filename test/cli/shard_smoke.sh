@@ -173,4 +173,73 @@ for p in $pids; do
   fi
 done
 
+# Lines at the request limit: the router splices its ordinal into each
+# line it forwards, so its workers must accept a line that much longer.
+# A 64-byte-limit fleet answers lines of 64 bytes and a few below with
+# the single daemon's output, each within 3 s, and a 65-byte line still
+# gets too-large.
+padded_request() { # $1 = total bytes
+  line='{"route":"optimize","params":{"rho":3}'
+  while [ "${#line}" -lt $(($1 - 1)) ]; do line="$line "; done
+  printf '%s}' "$line"
+}
+single_sock="$tmp/single.sock"
+"$exe" serve --socket "$single_sock" --max-request-bytes 64 \
+  2>"$tmp/single.err" &
+router_pid=$!
+tries=0
+until "$client" "$single_sock" '{"route":"health"}' status >/dev/null 2>&1; do
+  tries=$((tries + 1))
+  [ "$tries" -lt 200 ] || fail "64-byte-limit daemon never became healthy"
+  sleep 0.05
+done
+for n in 58 60 62 64; do
+  "$client" "$single_sock" "$(padded_request "$n")" output >"$tmp/near.$n" ||
+    fail "single daemon: no answer to a $n-byte line"
+done
+kill -TERM "$router_pid"
+wait "$router_pid" || fail "64-byte-limit daemon exited non-zero on SIGTERM"
+"$exe" serve --shards 2 --socket "$sock" --max-request-bytes 64 \
+  2>"$tmp/router.err" &
+router_pid=$!
+tries=0
+until "$client" "$sock" '{"route":"health"}' status >/dev/null 2>&1; do
+  tries=$((tries + 1))
+  [ "$tries" -lt 200 ] || fail "64-byte-limit fleet never became healthy"
+  sleep 0.05
+done
+for n in 58 60 62 64; do
+  "$client" --pipeline 1 --within 3 "$sock" "$(padded_request "$n")" \
+    "$tmp/near.$n" >/dev/null ||
+    fail "64-byte-limit fleet: no answer equal to the daemon's to a $n-byte line"
+done
+code=$("$client" "$sock" "$(padded_request 65)" error.code) ||
+  fail "64-byte-limit fleet: no answer to a 65-byte line"
+[ "$code" = "too-large" ] ||
+  fail "64-byte-limit fleet: a 65-byte line got $code, want too-large"
+stop_router
+
+# SIGTERM while the fleet is still starting: the router drains what it
+# has spawned and exits cleanly, and no worker outlives it. Its runtime
+# directory goes under $tmp so its workers can be found by command line.
+TMPDIR="$tmp" "$exe" serve --shards 4 --socket "$sock" 2>"$tmp/router.err" &
+router_pid=$!
+tries=0
+until pgrep -f "$tmp/rexspeed-shard" >/dev/null; do
+  tries=$((tries + 1))
+  [ "$tries" -lt 2000 ] || fail "router never spawned a worker"
+  sleep 0.005
+done
+kill -TERM "$router_pid"
+status=0
+wait "$router_pid" || status=$?
+router_pid=
+if pgrep -f "$tmp/rexspeed-shard" >/dev/null; then
+  pkill -KILL -f "$tmp/rexspeed-shard" || true
+  fail "a worker outlived a router stopped during startup"
+fi
+[ "$status" -eq 0 ] ||
+  fail "router exited with status $status on SIGTERM during startup"
+[ ! -e "$sock" ] || fail "router socket not removed after a startup SIGTERM"
+
 echo "shard_smoke.sh: all shard router checks passed"

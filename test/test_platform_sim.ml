@@ -1,96 +1,8 @@
-(* Tests for the event queue and the multi-node platform simulator —
-   including the superposition theorem that justifies the paper's
-   aggregate-platform abstraction. *)
+(* Tests for the multi-node platform simulator — including the
+   superposition theorem that justifies the paper's aggregate-platform
+   abstraction. *)
 
 open Testutil
-
-(* ------------------------------------------------------------------ *)
-(* Pqueue                                                              *)
-
-let test_pqueue_basic () =
-  let q = Sim.Pqueue.create () in
-  Alcotest.(check bool) "empty" true (Sim.Pqueue.is_empty q);
-  Sim.Pqueue.push q ~priority:3. "c";
-  Sim.Pqueue.push q ~priority:1. "a";
-  Sim.Pqueue.push q ~priority:2. "b";
-  Alcotest.(check int) "length" 3 (Sim.Pqueue.length q);
-  (match Sim.Pqueue.peek q with
-  | Some (p, v) ->
-      checkf "peek priority" 1. p;
-      Alcotest.(check string) "peek value" "a" v
-  | None -> Alcotest.fail "expected a minimum");
-  Alcotest.(check int) "peek does not remove" 3 (Sim.Pqueue.length q);
-  let order = List.map snd (Sim.Pqueue.to_sorted_list q) in
-  Alcotest.(check (list string)) "sorted drain" [ "a"; "b"; "c" ] order;
-  Alcotest.(check bool) "drained" true (Sim.Pqueue.is_empty q)
-
-let test_pqueue_ties_fifo () =
-  let q = Sim.Pqueue.create () in
-  Sim.Pqueue.push q ~priority:1. "first";
-  Sim.Pqueue.push q ~priority:1. "second";
-  Sim.Pqueue.push q ~priority:1. "third";
-  Alcotest.(check (list string)) "insertion order on ties"
-    [ "first"; "second"; "third" ]
-    (List.map snd (Sim.Pqueue.to_sorted_list q))
-
-let test_pqueue_clear_and_nan () =
-  let q = Sim.Pqueue.create () in
-  Sim.Pqueue.push q ~priority:1. 1;
-  Sim.Pqueue.clear q;
-  Alcotest.(check bool) "cleared" true (Sim.Pqueue.pop q = None);
-  check_raises_invalid "NaN priority" (fun () ->
-      Sim.Pqueue.push q ~priority:nan 1)
-
-let test_pqueue_of_list () =
-  let q = Sim.Pqueue.of_list [ (2., "b"); (1., "a"); (3., "c") ] in
-  Alcotest.(check (list string)) "heapified"
-    [ "a"; "b"; "c" ]
-    (List.map snd (Sim.Pqueue.to_sorted_list q))
-
-let prop_pqueue_sorts =
-  QCheck.Test.make ~count:300 ~name:"pqueue drains in sorted order"
-    QCheck.(list_of_size (QCheck.Gen.int_range 0 200) (float_range (-1e6) 1e6))
-    (fun priorities ->
-      let q = Sim.Pqueue.create () in
-      List.iteri (fun i p -> Sim.Pqueue.push q ~priority:p i) priorities;
-      let drained = List.map fst (Sim.Pqueue.to_sorted_list q) in
-      drained = List.sort Float.compare priorities)
-
-let prop_pqueue_interleaved =
-  (* Random interleaving of pushes and pops never violates the heap
-     order: every popped priority is <= the next one popped without an
-     intervening push of something smaller. We check a weaker but sharp
-     invariant: pop always returns the minimum of the current
-     contents. *)
-  QCheck.Test.make ~count:200 ~name:"pop returns the current minimum"
-    QCheck.(list (pair bool (float_range 0. 1e3)))
-    (fun ops ->
-      let q = Sim.Pqueue.create () in
-      let reference = ref [] in
-      let remove_one x l =
-        let rec go acc = function
-          | [] -> List.rev acc
-          | y :: rest when y = x -> List.rev_append acc rest
-          | y :: rest -> go (y :: acc) rest
-        in
-        go [] l
-      in
-      List.for_all
-        (fun (is_pop, priority) ->
-          if is_pop then
-            match (Sim.Pqueue.pop q, !reference) with
-            | None, [] -> true
-            | None, _ :: _ | Some _, [] -> false
-            | Some (p, ()), contents ->
-                let min_ref = List.fold_left Float.min infinity contents in
-                reference := remove_one p contents;
-                p = min_ref
-          else begin
-            Sim.Pqueue.push q ~priority ();
-            reference := priority :: !reference;
-            true
-          end)
-        ops)
 
 (* ------------------------------------------------------------------ *)
 (* Platform simulator                                                  *)
@@ -223,6 +135,58 @@ let test_single_node_equals_aggregate_executor_stats () =
   check_close ~rtol:0.05 "platform vs analytic" analytic platform_mean;
   check_close ~rtol:0.05 "executor vs analytic" analytic executor_mean
 
+(* Whole applications, pinned bit for bit: 40 seeds on three
+   platforms (many nodes, a few uneven ones, a thousand), every outcome
+   rendered with its time and energy in [%h] and all its counts. Any
+   change to the order of the draws, to which arrival settles an
+   attempt or to which node an error is charged shows here. *)
+let test_application_outcomes_pinned () =
+  let platforms =
+    [
+      ( "64 homogeneous",
+        Sim.Platform_sim.make ~nodes:64 ~node_lambda_f:2e-6
+          ~node_lambda_s:4e-6 ~c:300. ~v:15.4 (),
+        "2a94739e534b196e29ab56b17ba86ac1",
+        (973, 451, 522) );
+      ( "5 heterogeneous",
+        Sim.Platform_sim.heterogeneous
+          ~node_lambda_f:[| 1e-5; 0.; 3e-5; 2e-6; 0. |]
+          ~node_lambda_s:[| 2e-5; 5e-5; 0.; 1e-6; 4e-5 |]
+          ~c:300. ~r:150. ~v:15.4 (),
+        "227603fb83b9a51a05c4ef38fca7e26a",
+        (322, 204, 118) );
+      ( "1024 nodes",
+        Sim.Platform_sim.make ~nodes:1024 ~node_lambda_f:1e-7
+          ~node_lambda_s:2e-7 ~c:300. ~v:15.4 (),
+        "2e55e4838f947c11ac84cc655c1bcaff",
+        (711, 357, 354) );
+    ]
+  in
+  let render (o : Sim.Platform_sim.outcome) =
+    Printf.sprintf "%h %h %d %d %d %s" o.time o.energy o.re_executions
+      o.silent_errors o.fail_stop_errors
+      (String.concat ","
+         (Array.to_list (Array.map string_of_int o.errors_by_node)))
+  in
+  List.iter
+    (fun (name, platform, digest, totals) ->
+      let outcomes =
+        List.init 40 (fun i ->
+            Sim.Platform_sim.run_application platform ~power
+              ~rng:(Prng.Rng.create ~seed:(i + 1))
+              ~w_base:20_000. ~pattern_w:2764. ~sigma1:0.4 ~sigma2:0.8 ())
+      in
+      let total f = List.fold_left (fun acc o -> acc + f o) 0 outcomes in
+      Alcotest.(check (triple int int int))
+        (name ^ ": re-executions, silent, fail-stop") totals
+        ( total (fun o -> o.Sim.Platform_sim.re_executions),
+          total (fun o -> o.Sim.Platform_sim.silent_errors),
+          total (fun o -> o.Sim.Platform_sim.fail_stop_errors) );
+      Alcotest.(check string) (name ^ ": outcome digest") digest
+        (Digest.to_hex
+           (Digest.string (String.concat "\n" (List.map render outcomes)))))
+    platforms
+
 (* ------------------------------------------------------------------ *)
 (* Heterogeneous platforms                                             *)
 
@@ -331,15 +295,6 @@ let test_flaky_node_attribution () =
 let () =
   Alcotest.run "platform-sim"
     [
-      ( "pqueue",
-        [
-          Alcotest.test_case "basics" `Quick test_pqueue_basic;
-          Alcotest.test_case "FIFO ties" `Quick test_pqueue_ties_fifo;
-          Alcotest.test_case "clear and NaN" `Quick test_pqueue_clear_and_nan;
-          Alcotest.test_case "of_list" `Quick test_pqueue_of_list;
-          Testutil.qcheck prop_pqueue_sorts;
-          Testutil.qcheck prop_pqueue_interleaved;
-        ] );
       ( "platform",
         [
           Alcotest.test_case "aggregate rates" `Quick
@@ -353,6 +308,8 @@ let () =
             test_platform_trace_well_formed;
           Alcotest.test_case "single node equals executor" `Slow
             test_single_node_equals_aggregate_executor_stats;
+          Alcotest.test_case "application outcomes pinned" `Quick
+            test_application_outcomes_pinned;
         ] );
       ( "heterogeneous",
         [

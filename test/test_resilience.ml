@@ -646,6 +646,58 @@ let test_checkpointed_slot_count_mismatch () =
   | _ -> Alcotest.fail "slot-count mismatch must raise Journal_error"
   | exception Resilience.Checkpointed.Journal_error _ -> ()
 
+let test_montecarlo_resilience_identity () =
+  (* Every resilience layer composed on the real Monte-Carlo workload,
+     at 2 domains: a journaled run, a full resume, a resume after the
+     file is cut at half its bytes (which tears the record there),
+     task chaos and kill chaos each reproduce the plain estimate bit
+     for bit. *)
+  let pool = Parallel.Pool.create ~domains:2 in
+  let model =
+    Core.Mixed.make ~c:300. ~r:300. ~v:15.4 ~lambda_f:0. ~lambda_s:1.69e-4 ()
+  in
+  let power = Core.Power.make ~kappa:1550. ~p_idle:60. ~p_io:5.2 in
+  let replicas = 4000 in
+  let estimate ?journal ?on_resume () =
+    Sim.Montecarlo.pattern_estimate ~pool ?journal ?on_resume ~replicas
+      ~seed:2016 ~model ~power ~w:2764. ~sigma1:0.4 ~sigma2:0.4 ()
+  in
+  let plain = estimate () in
+  let same label v = Alcotest.(check bool) label true (v = plain) in
+  let path = temp_path () in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let recovered = ref (-1) in
+  let resume () =
+    estimate
+      ~journal:(journal ~path ~resume:true "mc identity")
+      ~on_resume:(fun ~entries ~dropped:_ -> recovered := entries)
+      ()
+  in
+  same "journaled = plain" (estimate ~journal:(journal ~path "mc identity") ());
+  same "full resume = plain" (resume ());
+  Alcotest.(check int) "full resume recovers every replica" replicas
+    !recovered;
+  Unix.truncate path ((Unix.stat path).Unix.st_size / 2);
+  same "half resume = plain" (resume ());
+  Alcotest.(check bool) "half resume recovers a part" true
+    (0 < !recovered && !recovered < replicas);
+  (match Resilience.Chaos.configure ~p:0.2 ~seed:7 with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "chaos configure: %s" e);
+  Fun.protect ~finally:Resilience.Chaos.disable (fun () ->
+      same "task chaos p=0.2 = plain" (estimate ()));
+  (match
+     Resilience.Chaos.configure_io
+       { Resilience.Chaos.default_io_config with kill_p = 0.002; io_seed = 5 }
+   with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "io chaos configure: %s" e);
+  Fun.protect ~finally:Resilience.Chaos.disable_io @@ fun () ->
+  let before = Parallel.Pool.worker_restarts () in
+  same "kill chaos p=0.002 = plain" (estimate ());
+  Alcotest.(check bool) "killed workers were restarted" true
+    (Parallel.Pool.worker_restarts () > before)
+
 let test_journal_header_and_hex () =
   (* The format hooks the tamper tests build on: the hex codec must
      round-trip arbitrary bytes (and reject odd-length input), and a
@@ -758,5 +810,7 @@ let () =
             test_durability_due;
           Alcotest.test_case "every exit is durable" `Quick
             test_checkpointed_exit_durability;
+          Alcotest.test_case "Monte-Carlo composed identity" `Quick
+            test_montecarlo_resilience_identity;
         ] );
     ]

@@ -696,14 +696,14 @@ let test_daemon_end_to_end () =
       socket_path = Some socket_path;
       cache_entries = 8;
       max_request_bytes = 4096;
-      handle_signals = false;
     }
   in
   let pool = Parallel.Pool.create ~domains:2 in
-  let daemon = Domain.spawn (fun () -> Server.Daemon.run ~pool options) in
+  let stop = Atomic.make false in
+  let daemon = Domain.spawn (fun () -> Server.Daemon.run ~pool ~stop options) in
   Fun.protect
     ~finally:(fun () ->
-      Server.Daemon.stop ();
+      Atomic.set stop true;
       (match Domain.join daemon with
       | Ok () -> ()
       | Error e -> Alcotest.failf "daemon failed: %s" e);
@@ -845,24 +845,19 @@ let test_daemon_end_to_end () =
 (* Hardened serving                                                    *)
 
 (* Spawn a daemon on a fresh Unix socket, run [f socket_path] against
-   it, then stop and join. [f] connects (and reconnects) itself. *)
-let with_daemon ?(domains = 1) options f =
+   it, then set its [stop] flag and join. [f] connects (and reconnects)
+   itself. *)
+let with_daemon ?(domains = 1) ?(stop = Atomic.make false) options f =
   let dir = Filename.temp_file "rexspeed-hardened" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o700;
   let socket_path = Filename.concat dir "serve.sock" in
-  let options =
-    {
-      options with
-      Server.Daemon.socket_path = Some socket_path;
-      handle_signals = false;
-    }
-  in
+  let options = { options with Server.Daemon.socket_path = Some socket_path } in
   let pool = Parallel.Pool.create ~domains in
-  let daemon = Domain.spawn (fun () -> Server.Daemon.run ~pool options) in
+  let daemon = Domain.spawn (fun () -> Server.Daemon.run ~pool ~stop options) in
   Fun.protect
     ~finally:(fun () ->
-      Server.Daemon.stop ();
+      Atomic.set stop true;
       (match Domain.join daemon with
       | Ok () -> ()
       | Error e -> Alcotest.failf "daemon failed: %s" e);
@@ -1329,7 +1324,8 @@ let test_daemon_drain_burst () =
   let options =
     { Server.Daemon.default_options with max_inflight = 2 }
   in
-  with_daemon options @@ fun socket_path ->
+  let stop = Atomic.make false in
+  with_daemon ~stop options @@ fun socket_path ->
   with_client socket_path @@ fun fd ->
   (* A first round trip guarantees the daemon has accepted this
      connection before the burst races the stop. *)
@@ -1342,7 +1338,7 @@ let test_daemon_drain_burst () =
           (2. +. (float_of_int i /. 16.)))
   in
   write_all fd (String.concat "\n" lines ^ "\n");
-  Server.Daemon.stop ();
+  Atomic.set stop true;
   let responses = read_responses fd burst in
   Alcotest.(check int) "drain answered the whole burst" burst
     (List.length responses);
@@ -1356,6 +1352,75 @@ let test_daemon_drain_burst () =
            Server.Json.to_string_opt
         = Some "ok"))
     lines
+
+let health_status fd id =
+  Option.bind
+    (Server.Json.member "status"
+       (rpc fd (Printf.sprintf {|{"route":"health","id":%d}|} id)))
+    Server.Json.to_string_opt
+
+let test_daemon_stop_is_per_run () =
+  (* Two daemons in one process, each with its own flag: stopping one
+     drains that one alone, and the other keeps answering. *)
+  let stop_first = Atomic.make false in
+  with_daemon ~stop:stop_first Server.Daemon.default_options
+  @@ fun first_path ->
+  with_daemon Server.Daemon.default_options @@ fun second_path ->
+  with_client second_path @@ fun second ->
+  Alcotest.(check (option string))
+    "second daemon serving" (Some "ok") (health_status second 1);
+  with_client first_path (fun first ->
+      Alcotest.(check (option string))
+        "first daemon serving" (Some "ok") (health_status first 1));
+  Atomic.set stop_first true;
+  (* A drained daemon unlinks its socket on the way out. *)
+  let rec await_exit tries =
+    if Sys.file_exists first_path && tries > 0 then begin
+      Unix.sleepf 0.01;
+      await_exit (tries - 1)
+    end
+  in
+  await_exit 1000;
+  Alcotest.(check bool) "first daemon drained" false
+    (Sys.file_exists first_path);
+  Alcotest.(check (option string))
+    "second daemon still answers" (Some "ok") (health_status second 2)
+
+let test_daemon_stop_before_run () =
+  (* A flag set before [run] is not lost: the daemon binds, drains what
+     it has (nothing) and returns. Bounded, so a run that ignored the
+     flag fails here instead of hanging the suite. *)
+  let dir = Filename.temp_file "rexspeed-prestop" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let socket_path = Filename.concat dir "serve.sock" in
+  Fun.protect ~finally:(fun () -> try Unix.rmdir dir with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  let ready = Atomic.make false and finished = Atomic.make false in
+  let daemon =
+    Domain.spawn (fun () ->
+        let served =
+          Server.Daemon.run ~pool:Parallel.Pool.sequential
+            ~on_ready:(fun () -> Atomic.set ready true)
+            ~stop:(Atomic.make true)
+            { Server.Daemon.default_options with socket_path = Some socket_path }
+        in
+        Atomic.set finished true;
+        served)
+  in
+  let rec await tries =
+    if (not (Atomic.get finished)) && tries > 0 then begin
+      Unix.sleepf 0.01;
+      await (tries - 1)
+    end
+  in
+  await 1000;
+  Alcotest.(check bool) "run returned" true (Atomic.get finished);
+  (match Domain.join daemon with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "daemon failed: %s" e);
+  Alcotest.(check bool) "listeners were bound first" true (Atomic.get ready);
+  Alcotest.(check bool) "socket unlinked" false (Sys.file_exists socket_path)
 
 let test_daemon_stale_socket () =
   (* A leftover socket file from a crashed daemon must be detected as
@@ -1378,17 +1443,14 @@ let test_daemon_stale_socket () =
   Unix.close stale;
   Alcotest.(check bool) "leftover file exists" true (Sys.file_exists socket_path);
   let options =
-    {
-      Server.Daemon.default_options with
-      socket_path = Some socket_path;
-      handle_signals = false;
-    }
+    { Server.Daemon.default_options with socket_path = Some socket_path }
   in
   let pool = Parallel.Pool.create ~domains:1 in
-  let daemon = Domain.spawn (fun () -> Server.Daemon.run ~pool options) in
+  let stop = Atomic.make false in
+  let daemon = Domain.spawn (fun () -> Server.Daemon.run ~pool ~stop options) in
   Fun.protect
     ~finally:(fun () ->
-      Server.Daemon.stop ();
+      Atomic.set stop true;
       match Domain.join daemon with
       | Ok () -> ()
       | Error e -> Alcotest.failf "daemon failed: %s" e)
@@ -1400,7 +1462,10 @@ let test_daemon_stale_socket () =
     (Option.bind (Server.Json.member "status" health) Server.Json.to_string_opt);
   (* The same path now belongs to a live daemon: a second daemon must
      refuse it instead of stealing the socket. *)
-  let second = Domain.spawn (fun () -> Server.Daemon.run ~pool options) in
+  let second =
+    Domain.spawn (fun () ->
+        Server.Daemon.run ~pool ~stop:(Atomic.make false) options)
+  in
   (match Domain.join second with
   | Ok () -> Alcotest.fail "second daemon must not bind a live socket"
   | Error e ->
@@ -1910,6 +1975,10 @@ let () =
             test_daemon_verify_divergence;
           Alcotest.test_case "drain answers the burst" `Quick
             test_daemon_drain_burst;
+          Alcotest.test_case "stop drains one daemon only" `Quick
+            test_daemon_stop_is_per_run;
+          Alcotest.test_case "stop set before run" `Quick
+            test_daemon_stop_before_run;
           Alcotest.test_case "stale socket" `Quick test_daemon_stale_socket;
           Alcotest.test_case "health counters" `Quick
             test_daemon_health_hardening;

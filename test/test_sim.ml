@@ -562,8 +562,9 @@ let test_scripted_segment_stream () =
 let test_montecarlo_matches_prop2 () =
   let model = silent_model 4e-4 in
   let c =
-    Sim.Montecarlo.check_pattern_time ~replicas:3000 ~seed:11 ~model ~power
-      ~w:2000. ~sigma1:0.5 ~sigma2:1. ()
+    (Sim.Montecarlo.checks ~replicas:3000 ~seed:11 ~model ~power ~w:2000.
+       ~sigma1:0.5 ~sigma2:1. ())
+      .pattern_time
   in
   if not c.Sim.Montecarlo.ok then
     Alcotest.failf "time mismatch: %s"
@@ -572,8 +573,9 @@ let test_montecarlo_matches_prop2 () =
 let test_montecarlo_matches_prop3 () =
   let model = silent_model 4e-4 in
   let c =
-    Sim.Montecarlo.check_pattern_energy ~replicas:3000 ~seed:12 ~model ~power
-      ~w:2000. ~sigma1:0.5 ~sigma2:1. ()
+    (Sim.Montecarlo.checks ~replicas:3000 ~seed:12 ~model ~power ~w:2000.
+       ~sigma1:0.5 ~sigma2:1. ())
+      .pattern_energy
   in
   if not c.Sim.Montecarlo.ok then
     Alcotest.failf "energy mismatch: %s"
@@ -584,12 +586,14 @@ let test_montecarlo_matches_mixed () =
     Core.Mixed.make ~c:120. ~r:60. ~v:30. ~lambda_f:2e-4 ~lambda_s:2e-4 ()
   in
   let time =
-    Sim.Montecarlo.check_pattern_time ~replicas:3000 ~seed:13 ~model ~power
-      ~w:3000. ~sigma1:0.5 ~sigma2:1. ()
+    (Sim.Montecarlo.checks ~replicas:3000 ~seed:13 ~model ~power ~w:3000.
+       ~sigma1:0.5 ~sigma2:1. ())
+      .pattern_time
   in
   let reexec =
-    Sim.Montecarlo.check_reexecutions ~replicas:3000 ~seed:14 ~model ~power
-      ~w:3000. ~sigma1:0.5 ~sigma2:1. ()
+    (Sim.Montecarlo.checks ~replicas:3000 ~seed:14 ~model ~power ~w:3000.
+       ~sigma1:0.5 ~sigma2:1. ())
+      .re_executions
   in
   Alcotest.(check bool) "mixed time matches" true time.Sim.Montecarlo.ok;
   Alcotest.(check bool) "mixed re-executions match" true
@@ -606,8 +610,9 @@ let test_montecarlo_rejects_wrong_model () =
   let w = 2000. and sigma1 = 0.5 and sigma2 = 1. in
   let replicas = 8000 in
   let ours =
-    Sim.Montecarlo.check_pattern_time ~replicas ~seed:15 ~model ~power ~w
-      ~sigma1 ~sigma2 ()
+    (Sim.Montecarlo.checks ~replicas ~seed:15 ~model ~power ~w ~sigma1
+       ~sigma2 ())
+      .pattern_time
   in
   Alcotest.(check bool) "recursion form accepted" true ours.Sim.Montecarlo.ok;
   let printed_expectation =

@@ -142,9 +142,8 @@ let test_unsampled_task_allocates_nothing () =
 (* Chrome trace_event JSON shape                                       *)
 (* ------------------------------------------------------------------ *)
 
-let test_chrome_json_shape () =
-  let pool = Parallel.Pool.create ~domains:2 in
-  let _, dump = traced ~sample_every:1 (fun () -> workload pool 8) in
+(* The Chrome export of [dump], parsed: the document and its events. *)
+let chrome_events dump =
   let json = Tracing.Export.chrome_json dump in
   let doc =
     match Server.Json.decode ~max_depth:8 json with
@@ -153,14 +152,30 @@ let test_chrome_json_shape () =
         Alcotest.failf "chrome_json does not parse: %s"
           (Server.Json.error_to_string e)
   in
-  let events =
-    match Server.Json.member "traceEvents" doc with
-    | Some (Server.Json.List events) -> events
-    | _ -> Alcotest.fail "traceEvents array missing"
+  match Server.Json.member "traceEvents" doc with
+  | Some (Server.Json.List events) -> (doc, events)
+  | _ -> Alcotest.fail "traceEvents array missing"
+
+let str k e = Option.bind (Server.Json.member k e) Server.Json.to_string_opt
+
+(* All five paper-phase categories must be present as span cats. *)
+let check_paper_phases events =
+  let cats =
+    List.filter_map (fun e -> if str "ph" e = Some "X" then str "cat" e else None)
+      events
   in
+  List.iter
+    (fun want ->
+      Alcotest.(check bool) (want ^ " category present") true
+        (List.mem want cats))
+    [ "work"; "verify"; "checkpoint"; "recover"; "reexec" ]
+
+let test_chrome_json_shape () =
+  let pool = Parallel.Pool.create ~domains:2 in
+  let _, dump = traced ~sample_every:1 (fun () -> workload pool 8) in
+  let doc, events = chrome_events dump in
   Alcotest.(check bool) "displayTimeUnit present" true
     (Server.Json.member "displayTimeUnit" doc <> None);
-  let str k e = Option.bind (Server.Json.member k e) Server.Json.to_string_opt in
   let num k e = Option.bind (Server.Json.member k e) Server.Json.to_float_opt in
   let phases = ref [] in
   List.iter
@@ -192,16 +207,26 @@ let test_chrome_json_shape () =
   Alcotest.(check bool) "has metadata events" true (List.mem "M" !phases);
   Alcotest.(check bool) "has complete events" true (List.mem "X" !phases);
   Alcotest.(check bool) "has a counter event" true (List.mem "C" !phases);
-  (* All five paper-phase categories must be present as span cats. *)
-  let cats =
-    List.filter_map (fun e -> if str "ph" e = Some "X" then str "cat" e else None)
-      events
+  check_paper_phases events
+
+let test_traced_simulation_is_untraced () =
+  (* Tracing observes and never perturbs: a fault-heavy Monte-Carlo
+     estimate traced at every replica equals the untraced estimate bit
+     for bit, and its export parses with all five paper phases and
+     every begin paired. *)
+  let pool = Parallel.Pool.create ~domains:2 in
+  let model =
+    Core.Mixed.make ~c:300. ~r:300. ~v:15.4 ~lambda_f:5e-5 ~lambda_s:5e-5 ()
   in
-  List.iter
-    (fun want ->
-      Alcotest.(check bool) (want ^ " category present") true
-        (List.mem want cats))
-    [ "work"; "verify"; "checkpoint"; "recover"; "reexec" ]
+  let power = Core.Power.make ~kappa:1550. ~p_idle:60. ~p_io:5.2 in
+  let estimate () =
+    Sim.Montecarlo.pattern_estimate ~pool ~replicas:200 ~seed:2016 ~model
+      ~power ~w:2764. ~sigma1:0.4 ~sigma2:0.4 ()
+  in
+  let traced_estimate, dump = traced ~sample_every:1 estimate in
+  Alcotest.(check bool) "traced = untraced" true (traced_estimate = estimate ());
+  Alcotest.(check int) "no unmatched begin" 0 (Tracing.Export.unmatched dump);
+  check_paper_phases (snd (chrome_events dump))
 
 (* ------------------------------------------------------------------ *)
 (* Determinism                                                         *)
@@ -408,6 +433,8 @@ let () =
           Alcotest.test_case "chrome trace_event shape" `Quick
             test_chrome_json_shape;
           Alcotest.test_case "ascii summary" `Quick test_summary;
+          Alcotest.test_case "traced simulation = untraced" `Quick
+            test_traced_simulation_is_untraced;
         ] );
       ( "determinism",
         [
