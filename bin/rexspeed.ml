@@ -571,9 +571,8 @@ let simulate_cmd =
              $(b,--config), $(b,--fail-stop-fraction) and $(b,--lambda-scale) \
              are ignored.")
   in
-  let run config rho replicas seed fraction scale suite jspec =
+  let run config replicas seed fraction scale suite jspec =
     guarded @@ fun () ->
-    ignore rho;
     let scenarios =
       if suite then Experiments.Validation.default_suite ()
       else
@@ -612,8 +611,8 @@ let simulate_cmd =
        ~doc:"Monte-Carlo cross-check of the analytical expectations.")
     (with_domains
        Term.(
-         const run $ config_arg $ rho_arg $ replicas $ seed $ fraction $ scale
-         $ suite $ journal_args))
+         const run $ config_arg $ replicas $ seed $ fraction $ scale $ suite
+         $ journal_args))
 
 let theorem2_cmd =
   let run () =

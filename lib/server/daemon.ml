@@ -253,55 +253,41 @@ type state = {
 
 let classify st ~ordinal line =
   let queue_depth = Queue.length st.queue in
-  match Json.decode line with
-  | Error e ->
+  match Protocol.read line with
+  | Error response -> Immediate (answer_of ~route:"invalid" ~ok:false response)
+  | Ok (id, Protocol.Health) ->
       Immediate
-        (answer_of ~route:"invalid" ~ok:false
-           (Protocol.error_response ~id:Json.Null ~code:"parse"
-              ~extra:[ ("position", Json.Int e.position) ]
-              e.message))
-  | Ok json -> (
-      let id = Option.value (Json.member "id" json) ~default:Json.Null in
-      match Protocol.parse json with
-      | Error reason ->
-          Immediate
-            (answer_of ~route:"invalid" ~ok:false
-               (Protocol.error_response ~id ~code:"bad-request" reason))
-      | Ok Protocol.Health ->
-          Immediate
-            (answer_of ~route:"health" ~ok:true
-               (health_response ~id ~metrics:st.metrics ~counters:st.counters
-                  ~queue_depth ~max_queue:st.options.max_queue
-                  ~domains:st.domains))
-      | Ok Protocol.Stats ->
-          Immediate
-            (answer_of ~route:"stats" ~ok:true
-               (stats_response ~id ~metrics:st.metrics ~cache:st.cache
-                  ~counters:st.counters ~queue_depth ~domains:st.domains))
-      | Ok request -> (
-          let fingerprint = Protocol.fingerprint request in
-          let cached =
-            if Protocol.cacheable request then begin
-              let hit =
-                Tracing.Tracer.with_span ~id:ordinal
-                  Tracing.Span.Cache_lookup (fun () ->
-                    Lru.find st.cache fingerprint)
-              in
-              Tracing.Counters.bump st.counters
-                (match hit with Some _ -> Cache_hits | None -> Cache_misses);
-              hit
-            end
-            else None
+        (answer_of ~route:"health" ~ok:true
+           (health_response ~id ~metrics:st.metrics ~counters:st.counters
+              ~queue_depth ~max_queue:st.options.max_queue ~domains:st.domains))
+  | Ok (id, Protocol.Stats) ->
+      Immediate
+        (answer_of ~route:"stats" ~ok:true
+           (stats_response ~id ~metrics:st.metrics ~cache:st.cache
+              ~counters:st.counters ~queue_depth ~domains:st.domains))
+  | Ok (id, request) -> (
+      let fingerprint = Protocol.fingerprint request in
+      let cached =
+        if Protocol.cacheable request then begin
+          let hit =
+            Tracing.Tracer.with_span ~id:ordinal Tracing.Span.Cache_lookup
+              (fun () -> Lru.find st.cache fingerprint)
           in
-          match cached with
-          | Some after_id ->
-              Immediate
-                {
-                  route = Protocol.route request;
-                  ok = true;
-                  bytes = hit_line ~id after_id;
-                }
-          | None -> Solve { id; request; fingerprint }))
+          Tracing.Counters.bump st.counters
+            (match hit with Some _ -> Cache_hits | None -> Cache_misses);
+          hit
+        end
+        else None
+      in
+      match cached with
+      | Some after_id ->
+          Immediate
+            {
+              route = Protocol.route request;
+              ok = true;
+              bytes = hit_line ~id after_id;
+            }
+      | None -> Solve { id; request; fingerprint })
 
 let io_fires kind ~ordinal =
   match Resilience.Chaos.io_active () with

@@ -162,3 +162,16 @@ let error_response ?(extra = []) ~id ~code message =
 let too_large ~max_bytes =
   error_response ~id:Json.Null ~code:"too-large"
     (Printf.sprintf "request exceeds %d bytes" max_bytes)
+
+let read line =
+  match Json.decode line with
+  | Error e ->
+      Error
+        (error_response ~id:Json.Null ~code:"parse"
+           ~extra:[ ("position", Json.Int e.position) ]
+           e.message)
+  | Ok json -> (
+      let id = Option.value (Json.member "id" json) ~default:Json.Null in
+      match parse json with
+      | Ok request -> Ok (id, request)
+      | Error reason -> Error (error_response ~id ~code:"bad-request" reason))

@@ -71,3 +71,11 @@ val error_response :
 val too_large : max_bytes:int -> Json.t
 (** The [too-large] error for a line over [max_bytes]; its [id] is
     [null], since the line was never parsed. *)
+
+val read : string -> (Json.t * request, Json.t) result
+(** The front of every server: decode one request line and {!parse}
+    it. [Ok (id, request)] carries the line's [id] member ([null] when
+    absent). [Error answer] is the structured error to send back: a
+    [parse] error with the byte [position] for a line that is not JSON
+    (its [id] is [null]), or a [bad-request] error under the line's
+    [id] for a JSON value that is not a valid request. *)

@@ -3,9 +3,9 @@
    [Conn.poll] covers the public listeners, every client connection
    and one pipelined link per worker, and is the only place the router
    waits. Worker links are read on every sweep whatever the router
-   still has queued for them, and an entry counts as sent once it is
-   queued, so the router and a worker never deadlock writing to each
-   other. *)
+   still has queued for them, and a line is queued on its link as soon
+   as the router owes it, so the router and a worker never deadlock
+   writing to each other. *)
 
 type options = {
   port : int option;
@@ -48,40 +48,33 @@ let respond_local client response =
   Conn.send client.conn (Json.encode_line response)
 
 (* ------------------------------------------------------------------ *)
-(* Pending entries                                                     *)
+(* Owed work                                                           *)
 
 (* A fleet-wide fan-out ([health]/[stats]) in progress: one leg per
    live shard, composed into a single response when the last leg
-   lands. Down shards contribute a [None] part immediately. *)
+   lands. A down shard's part stays [None]. *)
 type agg = {
   agg_client : client;
   agg_id : Json.t;
   agg_route : string;
   mutable agg_waiting : int;
-  mutable agg_parts : (int * Json.t option) list;
+  agg_parts : Json.t option array;  (* indexed by shard *)
 }
 
-type entry_kind =
-  | Relay of { client : client; id : Json.t; route : string }
-  | Probe
-  | Fanout of agg
+(* What a worker's answer to an owed line completes. *)
+type owed = Relay of { client : client; id : Json.t } | Fanout of agg
 
-(* One line owed to a worker. [sent] flips on write and back on
-   failover replay; the association list per shard stays in ordinal
-   order, so replay preserves the original send order (no Hashtbl, no
-   iteration-order hazard). *)
-type entry = {
-  ordinal : int;
-  line : string;  (* rewritten request line, no terminator *)
-  kind : entry_kind;
-  mutable sent : bool;
-  mutable sent_at : float;
-}
+(* Each shard's owed lines by ordinal. Answers are matched by ordinal
+   and may come in any order (a shedding worker answers its sheds
+   first); a map keeps failover replay in ordinal order without a sort
+   or a Hashtbl's iteration order. *)
+module Ordinals = Map.Make (Int)
 
 type shard = {
   worker : Supervisor.worker;
   mutable link : Conn.t option;
-  mutable entries : entry list;  (* pending, oldest first *)
+  mutable owed : (string * owed) Ordinals.t;  (* lines end in "\n" *)
+  mutable probe : (int * float) option;  (* unanswered: ordinal, sent at *)
   mutable last_probe_at : float;
   mutable down : bool;
 }
@@ -98,9 +91,13 @@ type shard = {
 let rewrite_request ~ordinal line =
   match String.index_opt line '{' with
   | Some i ->
-      Printf.sprintf "{\"id\":%d,%s" ordinal
+      Printf.sprintf "{\"id\":%d,%s\n" ordinal
         (String.sub line (i + 1) (String.length line - i - 1))
-  | None -> Printf.sprintf "{\"id\":%d}" ordinal (* unreachable *)
+  | None -> Printf.sprintf "{\"id\":%d}\n" ordinal (* unreachable *)
+
+(* A fan-out leg or a probe: a parameterless request under an ordinal. *)
+let route_request ~ordinal route =
+  Printf.sprintf "{\"id\":%d,\"route\":\"%s\"}\n" ordinal route
 
 (* A worker's line limit: the client's plus the longest splice
    [rewrite_request] makes ("id":, a 19-digit ordinal and a comma), so
@@ -117,7 +114,7 @@ let id_prefix = "{\"id\":"
    builder emits [id] as the first member, so a worker answer starts
    {"id":<ordinal>, — parse just that prefix and remember where the
    rest begins (the comma). A line without the prefix matches no
-   entry and is dropped. *)
+   owed line and is dropped. *)
 let response_ordinal line =
   let plen = String.length id_prefix and n = String.length line in
   if not (String.starts_with ~prefix:id_prefix line) then None
@@ -153,22 +150,14 @@ let int_at path json =
   Option.value (walk json path) ~default:0
 
 let sum_parts parts path =
-  List.fold_left
-    (fun acc (_, part) ->
+  Array.fold_left
+    (fun acc part ->
       match part with Some json -> acc + int_at path json | None -> acc)
     0 parts
 
-(* Client requests still owed an answer; probes do not count. *)
+(* Client requests and fan-out legs still owed an answer. *)
 let in_flight shards =
-  Array.fold_left
-    (fun acc s ->
-      acc
-      + List.length
-          (List.filter
-             (fun e ->
-               match e.kind with Relay _ | Fanout _ -> true | Probe -> false)
-             s.entries))
-    0 shards
+  Array.fold_left (fun acc s -> acc + Ordinals.cardinal s.owed) 0 shards
 
 let router_json ~counters ~shards =
   let count c = Json.Int (Tracing.Counters.get counters c) in
@@ -182,14 +171,11 @@ let router_json ~counters ~shards =
     ]
 
 let compose_health ~counters ~shards agg =
-  let parts =
-    List.sort (fun (a, _) (b, _) -> Int.compare a b) agg.agg_parts
+  let any_down =
+    Array.exists (fun s -> s.down) shards
+    || Array.exists Option.is_none agg.agg_parts
   in
-  let missing =
-    List.exists (fun (_, part) -> Option.is_none part) parts
-  in
-  let any_down = Array.exists (fun s -> s.down) shards || missing in
-  let shard_json (i, part) =
+  let shard_json i part =
     let s = shards.(i) in
     Json.Obj
       [
@@ -217,16 +203,15 @@ let compose_health ~counters ~shards agg =
             ("ready", Json.Bool (not any_down));
             ("shards", Json.Int (Array.length shards));
             ("router", router_json ~counters ~shards);
-            ("shard", Json.List (List.map shard_json parts));
+            ( "shard",
+              Json.List (Array.to_list (Array.mapi shard_json agg.agg_parts))
+            );
           ] );
     ]
 
 let compose_stats ~counters ~shards agg =
-  let parts =
-    List.sort (fun (a, _) (b, _) -> Int.compare a b) agg.agg_parts
-  in
-  let sum path = Json.Int (sum_parts parts ("result" :: path)) in
-  let shard_json (i, part) =
+  let sum path = Json.Int (sum_parts agg.agg_parts ("result" :: path)) in
+  let shard_json i part =
     Json.Obj
       [
         ("index", Json.Int i);
@@ -277,7 +262,9 @@ let compose_stats ~counters ~shards agg =
                       ] );
                 ] );
             ("router", router_json ~counters ~shards);
-            ("shard", Json.List (List.map shard_json parts));
+            ( "shard",
+              Json.List (Array.to_list (Array.mapi shard_json agg.agg_parts))
+            );
           ] );
     ]
 
@@ -346,19 +333,12 @@ let spawn_worker st shard =
           | Error e ->
               Error (Printf.sprintf "shard %d: cannot connect: %s" index e)))
 
-(* Queue every unsent pending entry on the worker link, in ordinal
-   order. An entry counts as sent once it is queued. *)
-let send_pending shard =
+(* Queue one line on the shard's worker link. An [Error] names what
+   failed: the link, never the line. *)
+let write shard line =
   match shard.link with
   | Some link when not (Conn.dead link) ->
-      List.iter
-        (fun entry ->
-          if not entry.sent then begin
-            Conn.send link (entry.line ^ "\n");
-            entry.sent <- true;
-            entry.sent_at <- Metrics.now_s ()
-          end)
-        shard.entries;
+      Conn.send link line;
       if Conn.dead link then Error "write to worker failed" else Ok ()
   | Some _ | None -> Error "no worker connection"
 
@@ -371,25 +351,30 @@ let finish_fanout st agg =
     | _ -> compose_stats ~counters ~shards agg);
   st.served <- st.served + 1
 
-let record_part st agg index part =
-  agg.agg_parts <- (index, part) :: agg.agg_parts;
-  agg.agg_waiting <- agg.agg_waiting - 1;
-  if agg.agg_waiting <= 0 then finish_fanout st agg
+let unavailable ~id index =
+  Protocol.error_response ~id ~code:"shard_unavailable"
+    ~extra:[ ("shard", Json.Int index) ]
+    "shard worker unavailable"
 
-(* Answer (or account) one pending entry that will never get a worker
-   response — shard declared unusable. *)
-let abandon_entry st shard entry =
+(* Complete one owed line: with its worker's [answer] line (and where
+   the bytes after its ordinal begin), or, with [None], for a shard that
+   will never answer it. *)
+let settle st shard owed answer =
   let index = shard.worker.Supervisor.index in
-  match entry.kind with
-  | Probe -> ()
-  | Relay { client; id; route = _ } ->
+  match owed with
+  | Relay { client; id } ->
       client.inflight <- client.inflight - 1;
-      respond_local client
-        (Protocol.error_response ~id ~code:"shard_unavailable"
-           ~extra:[ ("shard", Json.Int index) ]
-           "shard worker unavailable");
+      (match answer with
+      | Some (line, rest_at) ->
+          Conn.send client.conn (restore_id ~id line rest_at ^ "\n")
+      | None -> respond_local client (unavailable ~id index));
       st.served <- st.served + 1
-  | Fanout agg -> record_part st agg index None
+  | Fanout agg ->
+      agg.agg_parts.(index) <-
+        Option.bind answer (fun (line, _) ->
+            Result.to_option (Json.decode line));
+      agg.agg_waiting <- agg.agg_waiting - 1;
+      if agg.agg_waiting <= 0 then finish_fanout st agg
 
 (* Handle one complete response line from a worker. Unmatched ordinals
    (e.g. a duplicate surfacing after a replay already answered) are
@@ -398,24 +383,14 @@ let handle_worker_line st shard line =
   match response_ordinal line with
   | None -> ()
   | Some (ordinal, rest_at) -> (
-      match List.find_opt (fun e -> e.ordinal = ordinal) shard.entries with
-      | None -> ()
-      | Some entry -> (
-          shard.entries <-
-            List.filter (fun e -> e.ordinal <> ordinal) shard.entries;
-          match entry.kind with
-          | Probe -> ()
-          | Relay { client; id; route = _ } ->
-              client.inflight <- client.inflight - 1;
-              Conn.send client.conn (restore_id ~id line rest_at ^ "\n");
-              st.served <- st.served + 1
-          | Fanout agg ->
-              let part =
-                match Json.decode line with
-                | Ok json -> Some json
-                | Error _ -> None
-              in
-              record_part st agg shard.worker.Supervisor.index part))
+      match shard.probe with
+      | Some (probe, _) when probe = ordinal -> shard.probe <- None
+      | Some _ | None -> (
+          match Ordinals.find_opt ordinal shard.owed with
+          | None -> ()
+          | Some (_, owed) ->
+              shard.owed <- Ordinals.remove ordinal shard.owed;
+              settle st shard owed (Some (line, rest_at))))
 
 (* Relay the complete lines a worker has written; a partial tail stays
    buffered on the link. *)
@@ -429,18 +404,23 @@ let relay st shard =
         (Conn.lines link))
     shard.link
 
+(* Answer everything owed on a shard that will never answer it. *)
+let abandon_owed st shard =
+  Ordinals.iter (fun _ (_, owed) -> settle st shard owed None) shard.owed;
+  shard.owed <- Ordinals.empty
+
 let abandon_shard st shard =
   close_link shard;
   Supervisor.kill shard.worker;
   shard.down <- true;
-  List.iter (abandon_entry st shard) shard.entries;
-  shard.entries <- []
+  abandon_owed st shard
 
 (* Failover: salvage already-committed responses, kill and respawn the
-   worker, replay what is still owed. Bounded respawn attempts; a shard
-   that cannot come back is marked down and its pending work answered
-   with a structured error (revival retries continue from the probe
-   tick). *)
+   worker, write every owed line again in ordinal order. An
+   outstanding probe is dropped; the fresh worker gets its own on a
+   later tick. Bounded respawn attempts; a shard that cannot come back
+   is marked down and its owed work answered with a structured error
+   (revival retries continue from the probe tick). *)
 let failover st ~reason shard =
   let index = shard.worker.Supervisor.index in
   Tracing.Counters.bump st.counters Router_failovers;
@@ -453,11 +433,12 @@ let failover st ~reason shard =
     reason;
   (* Responses the worker already produced are committed work: relay
      them instead of recomputing. The partial tail is dropped with the
-     link — its entry stays pending and is replayed whole. *)
+     link — its line stays owed and is replayed whole. *)
   Option.iter Conn.read shard.link;
   relay st shard;
   close_link shard;
   Supervisor.kill shard.worker;
+  shard.probe <- None;
   let rec attempt k =
     match spawn_worker st shard with
     | Ok () -> Ok ()
@@ -470,16 +451,14 @@ let failover st ~reason shard =
       shard.down <- false;
       shard.worker.Supervisor.respawns <- shard.worker.Supervisor.respawns + 1;
       Tracing.Counters.bump st.counters Shard_respawns;
-      let replayed = ref 0 in
-      List.iter
-        (fun entry ->
-          if entry.sent then begin
-            entry.sent <- false;
-            incr replayed
-          end)
-        shard.entries;
-      Tracing.Counters.bump st.counters ~n:!replayed Router_replays;
-      match send_pending shard with
+      Tracing.Counters.bump st.counters ~n:(Ordinals.cardinal shard.owed)
+        Router_replays;
+      match
+        Ordinals.fold
+          (fun _ (line, _) written ->
+            Result.bind written (fun () -> write shard line))
+          shard.owed (Ok ())
+      with
       | Ok () -> ()
       | Error _ ->
           (* Freshly spawned yet unwritable: give up on the shard for
@@ -490,39 +469,37 @@ let failover st ~reason shard =
       abandon_shard st shard);
   shard.last_probe_at <- Metrics.now_s ()
 
-let enqueue st shard entry =
-  shard.entries <- shard.entries @ [ entry ];
-  if not shard.down then
-    match send_pending shard with
-    | Ok () -> ()
-    | Error reason -> failover st ~reason shard
+let send_or_failover st shard line =
+  match write shard line with
+  | Ok () -> ()
+  | Error reason -> failover st ~reason shard
 
-let new_entry ordinal line kind =
-  { ordinal; line; kind; sent = false; sent_at = 0. }
+(* Owe [line]'s answer on a live shard and write it at once. *)
+let enqueue st shard ordinal line owed =
+  shard.owed <- Ordinals.add ordinal (line, owed) shard.owed;
+  send_or_failover st shard line
 
 let fanout st client ~id route =
   client.inflight <- client.inflight + 1;
-  let down, live = List.partition (fun s -> s.down) (Array.to_list st.shards) in
   let agg =
     {
       agg_client = client;
       agg_id = id;
       agg_route = route;
-      agg_waiting = List.length live;
-      agg_parts = List.map (fun s -> (s.worker.Supervisor.index, None)) down;
+      agg_waiting =
+        Array.fold_left (fun n s -> if s.down then n else n + 1) 0 st.shards;
+      agg_parts = Array.make (Array.length st.shards) None;
     }
   in
-  if live = [] then finish_fanout st agg
+  if agg.agg_waiting = 0 then finish_fanout st agg
   else
-    List.iter
+    Array.iter
       (fun shard ->
-        let ordinal = fresh_ordinal st in
-        enqueue st shard
-          (new_entry ordinal
-             (Printf.sprintf "{\"id\":%d,\"route\":%s}" ordinal
-                (Json.encode (Json.String route)))
-             (Fanout agg)))
-      live
+        if not shard.down then begin
+          let ordinal = fresh_ordinal st in
+          enqueue st shard ordinal (route_request ~ordinal route) (Fanout agg)
+        end)
+      st.shards
 
 let route_line st client line =
   let ordinal = fresh_ordinal st in
@@ -531,35 +508,21 @@ let route_line st client line =
     respond_local client response;
     st.served <- st.served + 1
   in
-  match Json.decode line with
-  | Error e ->
-      answer
-        (Protocol.error_response ~id:Json.Null ~code:"parse"
-           ~extra:[ ("position", Json.Int e.position) ]
-           e.message)
-  | Ok json -> (
-      let id = Option.value (Json.member "id" json) ~default:Json.Null in
-      match Protocol.parse json with
-      | Error reason ->
-          answer (Protocol.error_response ~id ~code:"bad-request" reason)
-      | Ok Protocol.Health -> fanout st client ~id "health"
-      | Ok Protocol.Stats -> fanout st client ~id "stats"
-      | Ok request ->
-          let index = Shard_map.lookup st.map (Protocol.fingerprint request) in
-          Tracing.Counters.bump st.counters Router_routed;
-          let shard = st.shards.(index) in
-          if shard.down then
-            answer
-              (Protocol.error_response ~id ~code:"shard_unavailable"
-                 ~extra:[ ("shard", Json.Int index) ]
-                 "shard worker unavailable")
-          else begin
-            client.inflight <- client.inflight + 1;
-            enqueue st shard
-              (new_entry ordinal
-                 (rewrite_request ~ordinal line)
-                 (Relay { client; id; route = Protocol.route request }))
-          end)
+  match Protocol.read line with
+  | Error response -> answer response
+  | Ok (id, Protocol.Health) -> fanout st client ~id "health"
+  | Ok (id, Protocol.Stats) -> fanout st client ~id "stats"
+  | Ok (id, request) ->
+      let index = Shard_map.lookup st.map (Protocol.fingerprint request) in
+      Tracing.Counters.bump st.counters Router_routed;
+      let shard = st.shards.(index) in
+      if shard.down then answer (unavailable ~id index)
+      else begin
+        client.inflight <- client.inflight + 1;
+        enqueue st shard ordinal
+          (rewrite_request ~ordinal line)
+          (Relay { client; id })
+      end
 
 let handle_client_lines st client =
   let max_bytes = st.options.max_request_bytes in
@@ -573,9 +536,6 @@ let handle_client_lines st client =
    stalled health probe, down shards periodically revived. *)
 let probe_tick st =
   let now = Metrics.now_s () in
-  let is_probe e =
-    match e.kind with Probe -> true | Relay _ | Fanout _ -> false
-  in
   Array.iter
     (fun shard ->
       if shard.down then begin
@@ -586,23 +546,18 @@ let probe_tick st =
       end
       else if not (Supervisor.alive shard.worker) then
         failover st ~reason:"worker process exited" shard
-      else if
-        List.exists
-          (fun e ->
-            is_probe e && e.sent && now -. e.sent_at > st.probe_timeout_s)
-          shard.entries
-      then failover st ~reason:"health probe stalled" shard
-      else if
-        now -. shard.last_probe_at > probe_interval_s
-        && not (List.exists is_probe shard.entries)
-      then begin
-        shard.last_probe_at <- now;
-        let ordinal = fresh_ordinal st in
-        enqueue st shard
-          (new_entry ordinal
-             (Printf.sprintf "{\"id\":%d,\"route\":\"health\"}" ordinal)
-             Probe)
-      end)
+      else
+        match shard.probe with
+        | Some (_, sent_at) ->
+            if now -. sent_at > st.probe_timeout_s then
+              failover st ~reason:"health probe stalled" shard
+        | None ->
+            if now -. shard.last_probe_at > probe_interval_s then begin
+              shard.last_probe_at <- now;
+              let ordinal = fresh_ordinal st in
+              shard.probe <- Some (ordinal, now);
+              send_or_failover st shard (route_request ~ordinal "health")
+            end)
     st.shards
 
 let sweep st ~accepting ~timeout =
@@ -631,7 +586,7 @@ let sweep st ~accepting ~timeout =
     (fun c -> if not (Conn.dead c.conn) then handle_client_lines st c)
     st.clients;
   probe_tick st;
-  (* Close a client at EOF only once its answers are out. Entries owed
+  (* Close a client at EOF only once its answers are out. Lines owed
      to a dropped client still complete on their worker; a dead
      connection discards their responses. *)
   let gone, live =
@@ -663,11 +618,7 @@ let drain st =
       incr quiet
     else quiet := 0
   done;
-  Array.iter
-    (fun shard ->
-      List.iter (abandon_entry st shard) shard.entries;
-      shard.entries <- [])
-    st.shards;
+  Array.iter (abandon_owed st) st.shards;
   List.iter (fun c -> Conn.close c.conn) st.clients;
   st.clients <- []
 
@@ -700,7 +651,8 @@ let create (options : options) listeners =
                   (Filename.concat runtime_dir
                      (Printf.sprintf "worker-%d.sock" i));
             link = None;
-            entries = [];
+            owed = Ordinals.empty;
+            probe = None;
             last_probe_at = 0.;
             down = false;
           });

@@ -15,8 +15,8 @@
     [select] per sweep covers the public listeners, every client and
     every worker link, and nothing else waits. A client with unwritten
     responses is not read again until they drain. A worker link is
-    read on every sweep, and an entry counts as sent once it is
-    queued on the link, so the router and a worker never deadlock
+    read on every sweep, and a line is queued on its link the moment
+    the router owes it, so the router and a worker never deadlock
     writing to each other.
 
     {2 Routing}
@@ -42,19 +42,33 @@
     the worker produced — which the worker in turn guarantees equal to
     the one-shot CLI at any domain count.
 
+    Each shard keeps what it owes in one table ordered by ordinal:
+    ordinal to the line written to the worker and what its answer
+    completes (a client's request or one leg of a fan-out). A line is
+    written when it enters the table, and an answer is one lookup and
+    one removal by the ordinal it carries, so answers may arrive in any
+    order — a worker that sheds ([--max-queue]) answers its sheds
+    first. A line whose ordinal is no longer owed is dropped. Health
+    probes stay out of the table: each shard has one probe slot, the
+    ordinal and send time of its unanswered probe.
+
     {2 Failover}
 
     A worker is declared dead when its process exits, its connection
     breaks, bytes queued for it wait more than 30 s, or a periodic
-    health probe goes unanswered. Failover then: drains any responses the worker already
-    committed, SIGKILLs the process, respawns it (bounded retries),
-    and replays every request still pending on that shard under its
-    original ordinal. A request is answered exactly once: replay only
-    covers entries with no committed response, and re-execution on the
-    fresh worker reproduces bit-identical bytes, so a worker kill
-    never yields a lost, duplicated or divergent response. If respawn
-    fails repeatedly the shard is marked down, its pending requests
-    are answered with a structured [shard_unavailable] error, and
+    health probe goes unanswered. Failover then: drains any responses
+    the worker already committed, SIGKILLs the process, respawns it
+    (bounded retries), and writes the shard's whole table to the fresh
+    worker in ordinal order, each line under its original ordinal. An
+    outstanding probe is dropped, not replayed; the fresh worker is
+    probed on a later tick. So the [replayed] count is the owed client
+    requests and fan-out legs written again. A request is answered
+    exactly once: replay only covers lines with no committed response,
+    and re-execution on the fresh worker reproduces bit-identical
+    bytes, so a worker kill never yields a lost, duplicated or
+    divergent response. If respawn fails repeatedly the shard is
+    marked down, everything it owes is answered with a structured
+    [shard_unavailable] error (a fan-out leg counts as missing), and
     revival keeps being attempted in the background. *)
 
 type options = {

@@ -64,7 +64,9 @@ type counter =
   | Router_routed  (** requests routed to a shard worker *)
   | Router_failovers  (** shard failovers triggered by the router *)
   | Shard_respawns  (** shard worker processes respawned *)
-  | Router_replays  (** pending requests replayed after a failover *)
+  | Router_replays
+      (** owed client requests and fan-out legs written again to a
+          respawned worker (health probes are not replayed) *)
 
 val all_counters : counter list
 (** Every counter, in index order. *)

@@ -1,6 +1,8 @@
 # A performance bound that is not a finite number > 0 is a usage
 # error: exit 124 with a message naming --rho. Never an internal error
 # (125), a table of inf windows, or an "infeasible" verdict (1).
+# `simulate` takes no bound (its scenarios fix their own), so any
+# --rho there is a usage error too, not a silently ignored flag.
 #
 # Usage: sh bad_rho.sh path/to/rexspeed.exe
 set -u
@@ -12,14 +14,15 @@ fail() {
   exit 1
 }
 
-for arg in "--rho 0" "--rho=-1" "--rho inf" "--rho nan"; do
+for args in "optimize --rho 0" "optimize --rho=-1" "optimize --rho inf" \
+  "optimize --rho nan" "simulate --rho 2"; do
   # shellcheck disable=SC2086
-  err=$($exe optimize $arg 2>&1 >/dev/null)
+  err=$($exe $args 2>&1 >/dev/null)
   code=$?
-  [ "$code" -eq 124 ] || fail "optimize $arg exited $code, expected 124"
+  [ "$code" -eq 124 ] || fail "$args exited $code, expected 124"
   case $err in
   *--rho*) ;;
-  *) fail "optimize $arg: the usage error does not name --rho: $err" ;;
+  *) fail "$args: the usage error does not name --rho: $err" ;;
   esac
 done
 

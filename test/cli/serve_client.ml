@@ -1,4 +1,4 @@
-(* Client for the serve smoke tests, in two modes.
+(* Client for the serve smoke tests, in three modes.
 
    One-shot: send one request line to a daemon on a Unix-domain socket
    (or 127.0.0.1 TCP via a "tcp:PORT" target), read one response line,
@@ -14,7 +14,15 @@
    that file's bytes, all within --within seconds (default 60). Prints
    the answer count. With --no-read it never reads: it sends until the
    lines run out or the socket stays full for half a second, prints
-   the number of bytes sent, and holds the connection until killed. *)
+   the number of bytes sent, and holds the connection until killed.
+
+   Ids (--ids N): send N copies of a request object, the i-th with
+   "id":i spliced in as its first member, reading answers while
+   sending; shut the write side once every line is out, and read to
+   EOF. Each id must be answered exactly once, with status "ok" (with
+   --shed, "ok" or a "shed" error), all within --within seconds. Prints
+   three counts: ok answers, shed answers, and answers that came after
+   an answer to a later id (out of request order). *)
 
 let die fmt =
   Printf.ksprintf
@@ -109,21 +117,66 @@ let check_answer ~expected n line =
           die "answer %d: output differs from the one-shot CLI" n
       | Some _ | None -> ())
 
+(* Write what the non-blocking [fd] takes of [payload] past [!sent]. *)
+let write_some fd payload sent =
+  match
+    Unix.write_substring fd payload !sent (String.length payload - !sent)
+  with
+  | n -> sent := !sent + n
+  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
+
+(* Write [payload] on the non-blocking [fd] while handing each answer
+   line read back to [on_line], until [finished ()] holds or the peer
+   closes. With [half_close] the write side is shut once the last byte
+   is out. Dies past [within] seconds. *)
+let exchange fd ~within ~half_close payload ~on_line ~finished =
+  let deadline = Server.Metrics.now_s () +. within in
+  let sent = ref 0 and eof = ref false in
+  let send () =
+    write_some fd payload sent;
+    if half_close && !sent = String.length payload then
+      Unix.shutdown fd Unix.SHUTDOWN_SEND
+  in
+  let inbox = Buffer.create 65536 in
+  let chunk = Bytes.create 65536 in
+  let receive () =
+    match Unix.read fd chunk 0 (Bytes.length chunk) with
+    | 0 -> eof := true
+    | n ->
+        Buffer.add_subbytes inbox chunk 0 n;
+        let data = Buffer.contents inbox in
+        let rec split start =
+          match String.index_from_opt data start '\n' with
+          | Some i ->
+              on_line (String.sub data start (i - start));
+              split (i + 1)
+          | None ->
+              Buffer.clear inbox;
+              Buffer.add_substring inbox data start
+                (String.length data - start)
+        in
+        split 0
+    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
+  in
+  while not (finished () || !eof) do
+    let left = deadline -. Server.Metrics.now_s () in
+    if left <= 0. then die "no end to the exchange within %g s" within;
+    let writes = if !sent < String.length payload then [ fd ] else [] in
+    match Unix.select [ fd ] writes [] left with
+    | readable, writable, _ ->
+        if writable <> [] then send ();
+        if readable <> [] then receive ()
+    | exception Unix.Unix_error (EINTR, _, _) -> ()
+  done
+
 let pipeline ~count ~read ~within target request expected =
   let fd = connect target in
   Unix.set_nonblock fd;
   let payload = String.concat "" (List.init count (fun _ -> request ^ "\n")) in
-  let sent = ref 0 in
-  let send () =
-    match
-      Unix.write_substring fd payload !sent (String.length payload - !sent)
-    with
-    | n -> sent := !sent + n
-    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
-  in
   if not read then begin
+    let sent = ref 0 in
     let rec fill () =
-      send ();
+      write_some fd payload sent;
       if !sent < String.length payload then
         match Unix.select [] [ fd ] [] 0.5 with
         | [], _, _ -> ()
@@ -134,73 +187,115 @@ let pipeline ~count ~read ~within target request expected =
     Unix.sleep 3600
   end
   else begin
-    let deadline = Server.Metrics.now_s () +. within in
-    let inbox = Buffer.create 65536 in
-    let chunk = Bytes.create 65536 in
     let answers = ref 0 in
-    let receive () =
-      match Unix.read fd chunk 0 (Bytes.length chunk) with
-      | 0 -> die "connection closed after %d of %d answers" !answers count
-      | n ->
-          Buffer.add_subbytes inbox chunk 0 n;
-          let data = Buffer.contents inbox in
-          let rec split start =
-            match String.index_from_opt data start '\n' with
-            | Some i ->
-                incr answers;
-                check_answer ~expected !answers
-                  (String.sub data start (i - start));
-                split (i + 1)
-            | None ->
-                Buffer.clear inbox;
-                Buffer.add_substring inbox data start
-                  (String.length data - start)
-          in
-          split 0
-      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
-    in
-    while !answers < count do
-      let left = deadline -. Server.Metrics.now_s () in
-      if left <= 0. then
-        die "%d of %d answers within %g s" !answers count within;
-      let writes = if !sent < String.length payload then [ fd ] else [] in
-      match Unix.select [ fd ] writes [] left with
-      | readable, writable, _ ->
-          if writable <> [] then send ();
-          if readable <> [] then receive ()
-      | exception Unix.Unix_error (EINTR, _, _) -> ()
-    done;
+    exchange fd ~within ~half_close:false payload
+      ~on_line:(fun line ->
+        incr answers;
+        check_answer ~expected !answers line)
+      ~finished:(fun () -> !answers >= count);
+    if !answers < count then
+      die "connection closed after %d of %d answers" !answers count;
     Unix.close fd;
     Printf.printf "%d\n" !answers
   end
 
+(* Ids mode: the i-th copy of [request] carries "id":i as its first
+   member; each id must come back exactly once, before EOF. *)
+let ids ~count ~shed ~within target request =
+  if String.length request < 2 || request.[0] <> '{' then
+    die "--ids needs a JSON object request";
+  let rest = String.sub request 1 (String.length request - 1) in
+  let payload =
+    String.concat ""
+      (List.init count (fun i -> Printf.sprintf "{\"id\":%d,%s\n" i rest))
+  in
+  let fd = connect target in
+  Unix.set_nonblock fd;
+  let seen = Array.make count false in
+  let ok = ref 0 and sheds = ref 0 and late = ref 0 and highest = ref (-1) in
+  let on_line line =
+    let json =
+      match Server.Json.decode line with
+      | Ok json -> json
+      | Error e -> die "answer is not JSON: %s" (Server.Json.error_to_string e)
+    in
+    let str path =
+      Option.bind
+        (List.fold_left
+           (fun acc key -> Option.bind acc (Server.Json.member key))
+           (Some json) path)
+        Server.Json.to_string_opt
+    in
+    let id =
+      match
+        Option.bind (Server.Json.member "id" json) Server.Json.to_int_opt
+      with
+      | Some id when id >= 0 && id < count -> id
+      | Some _ | None -> die "answer with an unknown id: %s" line
+    in
+    if seen.(id) then die "id %d answered twice" id;
+    seen.(id) <- true;
+    if id < !highest then incr late else highest := id;
+    if str [ "status" ] = Some "ok" then incr ok
+    else if shed && str [ "error"; "code" ] = Some "shed" then incr sheds
+    else
+      die "answer %d is not %s: %s" id
+        (if shed then "ok or shed" else "ok")
+        line
+  in
+  exchange fd ~within ~half_close:true payload ~on_line
+    ~finished:(fun () -> false);
+  Unix.close fd;
+  if !ok + !sheds < count then
+    die "EOF after %d of %d answers" (!ok + !sheds) count;
+  Printf.printf "%d %d %d\n" !ok !sheds !late
+
 let () =
-  let rec parse ~count ~read ~within = function
-    | "--pipeline" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some n when n >= 1 -> parse ~count:(Some n) ~read ~within rest
-        | Some _ | None -> die "bad --pipeline count %s" n)
-    | "--no-read" :: rest -> parse ~count ~read:false ~within rest
+  let count = ref None and id_count = ref None and read = ref true in
+  let shed = ref false and within = ref 60. in
+  let positive flag n =
+    match int_of_string_opt n with
+    | Some n when n >= 1 -> Some n
+    | Some _ | None -> die "bad %s count %s" flag n
+  in
+  let rec parse = function
+    | "--pipeline" :: n :: rest ->
+        count := positive "--pipeline" n;
+        parse rest
+    | "--ids" :: n :: rest ->
+        id_count := positive "--ids" n;
+        parse rest
+    | "--no-read" :: rest ->
+        read := false;
+        parse rest
+    | "--shed" :: rest ->
+        shed := true;
+        parse rest
     | "--within" :: s :: rest -> (
         match float_of_string_opt s with
-        | Some s when s > 0. -> parse ~count ~read ~within:s rest
+        | Some s when s > 0. ->
+            within := s;
+            parse rest
         | Some _ | None -> die "bad --within seconds %s" s)
-    | positional -> (count, read, within, positional)
+    | positional -> positional
   in
-  match
-    parse ~count:None ~read:true ~within:60.
-      (List.tl (Array.to_list Sys.argv))
-  with
-  | None, _, _, [ target; request ] -> one_shot target request None
-  | None, _, _, [ target; request; field ] ->
+  let positional = parse (List.tl (Array.to_list Sys.argv)) in
+  let read = !read and within = !within in
+  match (!count, !id_count, positional) with
+  | None, None, [ target; request ] -> one_shot target request None
+  | None, None, [ target; request; field ] ->
       one_shot target request (Some field)
-  | Some count, read, within, [ target; request ] ->
+  | Some count, None, [ target; request ] ->
       pipeline ~count ~read ~within target request None
-  | Some count, read, within, [ target; request; expected ] ->
+  | Some count, None, [ target; request; expected ] ->
       pipeline ~count ~read ~within target request
         (Some (In_channel.with_open_bin expected In_channel.input_all))
+  | None, Some count, [ target; request ] ->
+      ids ~count ~shed:!shed ~within target request
   | _ ->
       die
         "usage: serve_client SOCKET|tcp:PORT REQUEST [FIELD.PATH]\n\
         \       serve_client --pipeline N [--no-read] [--within S] \
-         SOCKET|tcp:PORT REQUEST [EXPECTED]"
+         SOCKET|tcp:PORT REQUEST [EXPECTED]\n\
+        \       serve_client --ids N [--shed] [--within S] SOCKET|tcp:PORT \
+         REQUEST"

@@ -6,7 +6,8 @@
 # exit code 0 and removes the socket file. A TCP round on an ephemeral
 # port (EADDRINUSE-retrying, so concurrent runs cannot collide) checks
 # the same identity over the other listener family. A number a double
-# cannot hold gets a parse error and leaves the daemon serving.
+# cannot hold gets a parse error and leaves the daemon serving. A
+# client that half-closes after a burst gets every answer, then EOF.
 #
 # Usage: sh serve_smoke.sh path/to/rexspeed.exe path/to/serve_client.exe
 set -eu
@@ -116,6 +117,15 @@ cmp -s "$tmp/optimize.d2" "$tmp/served.nocache.2" ||
   fail "cache off: repeated optimize differs from CLI"
 hits=$("$client" "$sock" '{"route":"stats"}' result.cache.hits)
 [ "$hits" -eq 0 ] || fail "cache off: stats reports $hits hits"
+stop_server
+
+# Half-close: a client that shuts its write side after a 2000-line
+# burst still gets one answer per id, then EOF.
+start_server --domains 1
+got=$("$client" --ids 2000 --within 60 "$sock" "$opt_req") ||
+  fail "half-closed burst not answered once per id"
+[ "${got%% *}" = 2000 ] ||
+  fail "half-closed burst: $got (ok, shed, late), want 2000 ok"
 stop_server
 
 # TCP listener: same bytes over 127.0.0.1 on an ephemeral port,

@@ -8,7 +8,11 @@
 # no orphaned worker processes. Workers must run the router's
 # --domains, and the router must keep serving a pipelined burst, and
 # everyone else while one client stops reading, without failing over a
-# healthy worker. A number a double cannot hold gets a parse error and
+# healthy worker. A burst eight times longer may cost the router at
+# most 24 times its CPU. A client that half-closes gets every answer,
+# then EOF; a shedding worker's out-of-order answers still reach their
+# client exactly once; a wedged worker is failed over on its stalled
+# health probe. A number a double cannot hold gets a parse error and
 # leaves the router serving.
 #
 # Usage: sh shard_smoke.sh path/to/rexspeed.exe path/to/serve_client.exe
@@ -20,11 +24,15 @@ case $exe in */*) ;; *) exe="./$exe" ;; esac
 case $client in */*) ;; *) client="./$client" ;; esac
 . "$(dirname "$0")/net.sh"
 tmp=$(net_tmpdir)
+# Every fleet's runtime directory goes under $tmp, so the exit trap can
+# find and kill any worker a dead router left behind.
+export TMPDIR="$tmp"
 router_pid=
 stall_pid=
 cleanup() {
   [ -z "$stall_pid" ] || kill "$stall_pid" 2>/dev/null || true
   [ -z "$router_pid" ] || kill "$router_pid" 2>/dev/null || true
+  pkill -KILL -f "$tmp/rexspeed-shard" 2>/dev/null || true
   rm -rf "$tmp"
 }
 trap cleanup EXIT INT TERM
@@ -39,9 +47,12 @@ opt_req='{"route":"optimize","params":{"rho":3}}'
 fr_req='{"route":"frontier","params":{"config":"hera/xscale"}}'
 ev_req='{"route":"evaluate","params":{"w":2764,"s1":0.4,"s2":1}}'
 
-start_router() { # $1 = shards, $2 = domains
-  "$exe" serve --shards "$1" --socket "$sock" --domains "$2" \
-    2>"$tmp/router.err" &
+start_router() { # $1 = shards, $2 = domains, then extra serve flags
+  n_shards=$1
+  n_domains=$2
+  shift 2
+  "$exe" serve --shards "$n_shards" --socket "$sock" --domains "$n_domains" \
+    "$@" 2>"$tmp/router.err" &
   router_pid=$!
   tries=0
   until "$client" "$sock" '{"route":"health"}' status >/dev/null 2>&1; do
@@ -54,7 +65,8 @@ start_router() { # $1 = shards, $2 = domains
     sleep 0.05
   done
   got=$("$client" "$sock" '{"route":"health"}' result.shard.0.health.workers.domains)
-  [ "$got" = "$2" ] || fail "worker runs $got domain(s), want --domains $2"
+  [ "$got" = "$n_domains" ] ||
+    fail "worker runs $got domain(s), want --domains $n_domains"
 }
 
 failovers() {
@@ -129,9 +141,33 @@ done
 # a health request still answers within 5 s: the router never waits
 # on one client.
 start_router 2 1
+# The router's CPU time (utime + stime, in clock ticks) across a burst.
+# CPU ticks, not wall time, so neither a slower build nor a busy host
+# moves the ratio between two bursts.
+router_ticks() {
+  awk '{ print $14 + $15 }' "/proc/$router_pid/stat"
+}
+ticks=$(router_ticks)
 "$client" --pipeline 2000 --within 60 "$sock" "$opt_req" "$tmp/optimize.d1" \
   >/dev/null || fail "pipelined burst through the router not fully answered"
+short_ticks=$(($(router_ticks) - ticks))
 [ "$(failovers)" = 0 ] || fail "router failed over during a pipelined burst"
+# Eight times the burst costs the router at most 24 times the CPU: its
+# cost per line must not grow with the number of lines it owes.
+ticks=$(router_ticks)
+"$client" --pipeline 16000 --within 60 "$sock" "$opt_req" "$tmp/optimize.d1" \
+  >/dev/null || fail "16000-line burst through the router not fully answered"
+long_ticks=$(($(router_ticks) - ticks))
+[ "$short_ticks" -gt 0 ] || short_ticks=1 # one tick is the clock's resolution
+[ "$long_ticks" -le $((24 * short_ticks)) ] ||
+  fail "router CPU: $long_ticks ticks for 16000 lines against $short_ticks for 2000"
+[ "$(failovers)" = 0 ] || fail "router failed over during a 16000-line burst"
+# A client that half-closes after its burst gets every answer, each id
+# once, and then EOF.
+got=$("$client" --ids 2000 --within 60 "$sock" "$opt_req") ||
+  fail "half-closed burst through the router not answered once per id"
+[ "${got%% *}" = 2000 ] ||
+  fail "half-closed burst through the router: $got (ok, shed, late), want 2000 ok"
 "$client" --pipeline 4000 --no-read "$sock" "$opt_req" >"$tmp/stall.out" &
 stall_pid=$!
 tries=0
@@ -172,6 +208,38 @@ for p in $pids; do
     fail "worker $p survived the router drain"
   fi
 done
+
+# Exactly once, in any order: with a 4-deep admission queue and no
+# cache, the owning worker sheds most of a 3000-line burst at once and
+# answers the rest later, out of request order. Every id still gets
+# exactly one answer.
+start_router 2 1 --max-queue 4 --cache-entries 0
+got=$("$client" --ids 3000 --shed --within 60 "$sock" "$opt_req") ||
+  fail "shedding fleet: not every id answered exactly once"
+set -- $got
+[ "$2" -gt 0 ] || fail "shedding fleet: nothing shed in a 3000-line burst ($got)"
+[ "$3" -gt 0 ] || fail "shedding fleet: every answer in request order ($got)"
+stop_router
+
+# A wedged worker: SIGSTOP shard 0's worker in a fleet whose probe
+# timeout is 2 s. Within 10 s the router fails it over on a stalled
+# health probe, the stopped process is gone, and the bytes are the
+# same.
+start_router 2 1 --shard-spawn-timeout-ms 2000
+stopped=$("$client" "$sock" '{"route":"health"}' result.shard.0.pid)
+kill -STOP "$stopped" || fail "cannot SIGSTOP worker $stopped"
+tries=0
+until grep -q "health probe stalled" "$tmp/router.err"; do
+  tries=$((tries + 1))
+  [ "$tries" -lt 200 ] || fail "no failover within 10 s of a worker's SIGSTOP"
+  sleep 0.05
+done
+[ "$(failovers)" -ge 1 ] || fail "router.failovers=$(failovers) after a stalled probe"
+check_identity 1 "after a stalled probe"
+if kill -0 "$stopped" 2>/dev/null; then
+  fail "stopped worker $stopped survived its failover"
+fi
+stop_router
 
 # Lines at the request limit: the router splices its ordinal into each
 # line it forwards, so its workers must accept a line that much longer.

@@ -24,9 +24,13 @@ case $exe in */*) ;; *) exe="./$exe" ;; esac
 case $client in */*) ;; *) client="./$client" ;; esac
 . "$(dirname "$0")/net.sh"
 tmp=$(net_tmpdir)
+# The fleet's runtime directory goes under $tmp, so the exit trap can
+# find and kill any worker a dead router left behind.
+export TMPDIR="$tmp"
 router_pid=
 cleanup() {
   [ -z "$router_pid" ] || kill "$router_pid" 2>/dev/null || true
+  pkill -KILL -f "$tmp/rexspeed-shard" 2>/dev/null || true
   rm -rf "$tmp"
 }
 trap cleanup EXIT INT TERM
