@@ -166,8 +166,10 @@ let runtime_setup =
     Arg.(value & opt (some float) None & info [ "chaos" ] ~docv:"P" ~doc)
   in
   let chaos_seed =
-    let doc = "Seed of the chaos decision stream (with $(b,--chaos))." in
-    Arg.(value & opt int 0 & info [ "chaos-seed" ] ~docv:"SEED" ~doc)
+    let doc =
+      "Seed of the chaos decision stream (default 0). Only with $(b,--chaos)."
+    in
+    Arg.(value & opt (some int) None & info [ "chaos-seed" ] ~docv:"SEED" ~doc)
   in
   let chaos_io =
     let doc =
@@ -232,13 +234,16 @@ let runtime_setup =
                  with Sys_error message ->
                    Printf.eprintf "rexspeed: trace: %s\n%!" message);
                 prerr_string (Tracing.Export.summary dump)));
-    (match chaos with
-    | Some p -> begin
-        match Resilience.Chaos.configure ~p ~seed:chaos_seed with
+    (match (chaos, chaos_seed) with
+    | Some p, seed -> begin
+        match
+          Resilience.Chaos.configure ~p ~seed:(Option.value seed ~default:0)
+        with
         | Ok () -> ()
         | Error message -> die Cmd.Exit.cli_error message
       end
-    | None -> begin
+    | None, Some _ -> die Cmd.Exit.cli_error "--chaos-seed requires --chaos"
+    | None, None -> begin
         match Resilience.Chaos.of_env () with
         | Ok () -> ()
         | Error message -> die Cmd.Exit.cli_error message

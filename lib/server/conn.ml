@@ -1,16 +1,21 @@
 (* ------------------------------------------------------------------ *)
 (* Listeners                                                           *)
 
-type listener = { fd : Unix.file_descr; name : string }
+type listener = { fd : Unix.file_descr; name : string; mutable closed : bool }
 
-let endpoint l = l.name
-let close_listener l = try Unix.close l.fd with Unix.Unix_error _ -> ()
+(* Idempotent: a drain stops accepting first, and [serve] closes every
+   listener again on its way out. *)
+let close_listener l =
+  if not l.closed then begin
+    l.closed <- true;
+    try Unix.close l.fd with Unix.Unix_error _ -> ()
+  end
 
 let bound fd addr name =
   Unix.bind fd addr;
   Unix.listen fd 64;
   Unix.set_nonblock fd;
-  { fd; name }
+  { fd; name; closed = false }
 
 let tcp port =
   let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -107,6 +112,7 @@ type t = {
   mutable eof : bool;
   mutable dead : bool;
   mutable last_activity : float;  (* [Metrics.now_s] of the last I/O *)
+  mutable owed : int;  (* a client's lines handed out, not yet answered *)
 }
 
 let make ~client fd =
@@ -119,12 +125,12 @@ let make ~client fd =
     eof = false;
     dead = false;
     last_activity = Metrics.now_s ();
+    owed = 0;
   }
 
 let dead c = c.dead
 let eof c = c.eof
 let unwritten c = (not c.dead) && not (Queue.is_empty c.out)
-let drained c = c.eof && Buffer.length c.inbox = 0 && Queue.is_empty c.out
 let notify on_done ok = Option.iter (fun f -> f ok) on_done
 
 let close c =
@@ -176,6 +182,10 @@ let send ?on_done c data =
     if idle then flush c
   end
 
+let answer ?on_done c data =
+  c.owed <- c.owed - 1;
+  send ?on_done c data
+
 (* One read buffer per domain: the dispatcher is single-threaded, but
    an in-process harness may run a daemon and a router side by side. *)
 let scratch = Domain.DLS.new_key (fun () -> Bytes.create 65536)
@@ -218,27 +228,110 @@ let lines ?(max_bytes = max_int) c =
     in
     let start, acc = split 0 [] in
     let tail = String.length data - start in
-    if tail > max_bytes then begin
-      c.eof <- true;
-      List.rev (Too_large :: acc)
-    end
-    else begin
-      Buffer.add_substring c.inbox data start tail;
-      List.rev acc
-    end
+    let acc =
+      if tail > max_bytes then begin
+        c.eof <- true;
+        Too_large :: acc
+      end
+      else begin
+        Buffer.add_substring c.inbox data start tail;
+        acc
+      end
+    in
+    if c.client then c.owed <- c.owed + List.length acc;
+    List.rev acc
   end
+
+(* ------------------------------------------------------------------ *)
+(* The front                                                           *)
+
+type front = {
+  listeners : listener list;
+  give_up_s : float;
+  mutable clients : t list;  (* accepted, in accept order *)
+}
+
+(* [select] takes no fd at or above FD_SETSIZE (1024), and fds are
+   numbered from the lowest free one: with at most this many
+   connections selected, besides the listeners and the process's few
+   other files, every selected fd stays below it. *)
+let max_connections = 1000
+
+(* SIGPIPE's disposition is process-wide, and several servers may run in
+   one process, each on its own domain: it is ignored from the first
+   server's start to the last one's exit, and only then restored. *)
+let sigpipe_lock = Mutex.create ()
+let servers = ref 0
+let sigpipe_before = ref Sys.Signal_default
+
+let hold_sigpipe () =
+  Mutex.protect sigpipe_lock (fun () ->
+      if !servers = 0 then
+        sigpipe_before := Sys.signal Sys.sigpipe Sys.Signal_ignore;
+      incr servers)
+
+let release_sigpipe () =
+  Mutex.protect sigpipe_lock (fun () ->
+      decr servers;
+      if !servers = 0 then Sys.set_signal Sys.sigpipe !sigpipe_before)
+
+let serve ~port ~socket_path ~give_up_s f =
+  Result.bind (listen ~port ~socket_path) @@ fun listeners ->
+  let front = { listeners; give_up_s; clients = [] } in
+  hold_sigpipe ();
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter close_listener listeners;
+      List.iter close front.clients;
+      front.clients <- [];
+      Option.iter
+        (fun path -> try Unix.unlink path with Unix.Unix_error _ -> ())
+        socket_path;
+      release_sigpipe ())
+    (fun () -> f front)
+
+let endpoints front = List.map (fun l -> l.name) front.listeners
+
+(* Nothing more can come of a client: it is dead, or at EOF with every
+   byte read handed out, answered and written. *)
+let finished c =
+  c.dead
+  || (c.eof && c.owed <= 0 && Buffer.length c.inbox = 0
+     && Queue.is_empty c.out)
+
+let reap front =
+  if List.exists finished front.clients then
+    front.clients <-
+      List.filter
+        (fun c ->
+          let gone = finished c in
+          if gone then close c;
+          not gone)
+        front.clients
+
+let idle front = List.for_all finished front.clients
+
+let each_line front ~max_bytes f =
+  List.iter
+    (fun c ->
+      if not c.dead then List.iter (f c) (lines ~max_bytes c))
+    front.clients
 
 (* ------------------------------------------------------------------ *)
 (* The sweep                                                           *)
 
-type events = { accepted : t list; timed_out : t list }
-
 let readable c = (not c.eof) && not (c.client && unwritten c)
 
-let rec accept (l : listener) acc =
+(* Accept what the backlog holds. A client beyond [room] is closed at
+   once, so its fd is never selected. *)
+let rec accept (l : listener) ~room acc =
   match Unix.accept ~cloexec:true l.fd with
-  | fd, _ -> accept l (make ~client:true fd :: acc)
-  | exception Unix.Unix_error (EINTR, _, _) -> accept l acc
+  | fd, _ when room > 0 ->
+      accept l ~room:(room - 1) (make ~client:true fd :: acc)
+  | fd, _ ->
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      accept l ~room acc
+  | exception Unix.Unix_error (EINTR, _, _) -> accept l ~room acc
   | exception Unix.Unix_error (_, _, _) ->
       (* EAGAIN once the backlog is empty; ECONNABORTED, EMFILE...
          leave the rest of the backlog for the next sweep. *)
@@ -250,33 +343,74 @@ let stalled ~now ~give_up_s c =
   | None -> false)
   || (Buffer.length c.inbox > 0 && now -. c.last_activity > give_up_s)
 
-let poll ?(listeners = []) conns ~give_up_s ~timeout =
+let poll front ?(links = []) ~timeout () =
+  reap front;
+  let fds pred conns acc =
+    List.fold_left (fun acc c -> if pred c then c.fd :: acc else acc) acc conns
+  in
+  let listening =
+    List.filter (fun (l : listener) -> not l.closed) front.listeners
+  in
   let reads =
-    List.map (fun (l : listener) -> l.fd) listeners
-    @ List.filter_map (fun c -> if readable c then Some c.fd else None) conns
+    fds readable links
+      (fds readable front.clients
+         (List.map (fun (l : listener) -> l.fd) listening))
   in
-  let writes =
-    List.filter_map (fun c -> if unwritten c then Some c.fd else None) conns
-  in
+  let writes = fds unwritten links (fds unwritten front.clients []) in
   let ready_r, ready_w =
     match Unix.select reads writes [] timeout with
     | r, w, _ -> (r, w)
     | exception Unix.Unix_error (EINTR, _, _) -> ([], [])
   in
-  List.iter
-    (fun c ->
-      if unwritten c && List.mem c.fd ready_w then flush c;
-      if readable c && List.mem c.fd ready_r then read c)
-    conns;
+  let service c =
+    if unwritten c && List.mem c.fd ready_w then flush c;
+    if readable c && List.mem c.fd ready_r then read c
+  in
+  List.iter service links;
+  List.iter service front.clients;
+  reap front;
   let accepted =
     List.fold_left
       (fun acc (l : listener) ->
-        if List.mem l.fd ready_r then accept l acc else acc)
-      [] listeners
+        if List.mem l.fd ready_r then
+          accept l
+            ~room:
+              (max_connections - List.length links
+              - List.length front.clients - List.length acc)
+            acc
+        else acc)
+      [] listening
   in
-  let now = Metrics.now_s () in
+  if accepted <> [] then front.clients <- front.clients @ List.rev accepted;
+  let now = Metrics.now_s () and give_up_s = front.give_up_s in
+  let stale acc c =
+    if (not c.dead) && stalled ~now ~give_up_s c then c :: acc else acc
+  in
   let timed_out =
-    List.filter (fun c -> (not c.dead) && stalled ~now ~give_up_s c) conns
+    List.fold_left stale (List.fold_left stale [] links) front.clients
   in
   List.iter close timed_out;
-  { accepted = List.rev accepted; timed_out }
+  timed_out
+
+(* Every live client is owed nothing and holds no unwritten bytes. A
+   round that begins settled reads every client to what its socket
+   holds, since only unwritten bytes stop a client being read; if it
+   also ends settled, every request received is answered and out. *)
+let settled front =
+  List.for_all
+    (fun c -> c.dead || (c.owed <= 0 && Queue.is_empty c.out))
+    front.clients
+
+(* The longest a drain runs, whatever a client does. *)
+let drain_give_up_s = 30.
+
+let drain front ~round =
+  List.iter close_listener front.listeners;
+  let give_up_at = Metrics.now_s () +. drain_give_up_s in
+  let rec loop () =
+    let began = settled front in
+    round ~timeout:(if began then 0. else 0.2);
+    if not (began && settled front) && Metrics.now_s () < give_up_at then
+      loop ()
+  in
+  loop ()

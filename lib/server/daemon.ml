@@ -234,14 +234,12 @@ type admission = {
 type state = {
   options : options;
   pool : Parallel.Pool.t;
-  listeners : Conn.listener list;
+  front : Conn.front;
   cache : string Lru.t;  (* a committed answer's bytes after its id *)
   metrics : Metrics.t;
   counters : Tracing.Counters.t;
   domains : int;
-  give_up_s : float;  (* --io-timeout-ms; [infinity] when 0 *)
   deadline_s : float;
-  mutable conns : Conn.t list;
   (* Complete request lines accepted but not yet dispatched. Bounded
      by [max_queue]; persists across sweeps, so the drain must empty
      it too. *)
@@ -333,12 +331,11 @@ let respond st a { route; ok; bytes } =
     let last = String.length bytes - 1 in
     String.iteri
       (fun i c ->
-        Conn.send
-          ?on_done:(if i = last then Some record else None)
-          conn (String.make 1 c))
+        if i = last then Conn.answer ~on_done:record conn (String.make 1 c)
+        else Conn.send conn (String.make 1 c))
       bytes
   end
-  else Conn.send ~on_done:record conn bytes;
+  else Conn.answer ~on_done:record conn bytes;
   st.served <- st.served + 1;
   if st.options.log_every > 0 && st.served mod st.options.log_every = 0 then
     log_line st
@@ -515,84 +512,38 @@ let process st =
 (* ------------------------------------------------------------------ *)
 (* Sweeps                                                              *)
 
-(* Frame what every live connection has sent: admit complete lines,
-   answer overlong ones at once. *)
-let enqueue_ready st ~shedding =
-  List.iter
-    (fun conn ->
-      if not (Conn.dead conn) then
-        List.iter
-          (function
-            | Conn.Line line -> admit st ~shedding conn line
-            | Conn.Too_large ->
-                let max_bytes = st.options.max_request_bytes in
-                Conn.send conn
-                  (Json.encode_line (Protocol.too_large ~max_bytes));
-                Metrics.record st.metrics ~route:"invalid" ~ok:false
-                  ~latency_s:0.)
-          (Conn.lines ~max_bytes:st.options.max_request_bytes conn))
-    st.conns
-
-(* One [Conn.poll]: a connection dropped for its give-up time is an I/O
-   timeout. *)
-let poll st ?listeners ~timeout () =
-  let events =
-    Conn.poll ?listeners st.conns ~give_up_s:st.give_up_s ~timeout
-  in
+(* One sweep: poll, admit every complete line (answer overlong ones at
+   once), then dispatch one batch. The queue persists across sweeps,
+   which is what makes [max_queue] a real bound and keeps accepts
+   responsive under a backlog. A drain's sweep sheds nothing and
+   empties the queue: a request the client already sent gets an
+   answer, not a retry hint. A connection dropped for its give-up time
+   is an I/O timeout. *)
+let sweep st ~draining ~timeout =
   List.iter
     (fun _ -> Tracing.Counters.bump st.counters Io_timeouts)
-    events.timed_out;
-  st.conns <- st.conns @ events.accepted
-
-let sweep st =
-  (* A backlog means there is work regardless of the sockets: poll
-     instead of sleeping. *)
-  poll st ~listeners:st.listeners
-    ~timeout:(if Queue.is_empty st.queue then 0.2 else 0.)
-    ();
-  enqueue_ready st ~shedding:true;
-  (* One dispatch batch per sweep: the queue persists across sweeps,
-     which is what makes [max_queue] a real bound and keeps accepts
-     responsive under a backlog. *)
-  process st;
-  (* Close a connection at EOF only once its answers are out: the queue
-     may still hold admitted requests from a peer that half-closed. *)
-  let owed conn =
-    Seq.exists (fun a -> a.conn == conn) (Queue.to_seq st.queue)
-  in
-  let gone, live =
-    List.partition
-      (fun c -> Conn.dead c || (Conn.drained c && not (owed c)))
-      st.conns
-  in
-  List.iter Conn.close gone;
-  st.conns <- live
-
-(* Drain: stop accepting, then answer everything already admitted —
-   queued-but-unstarted requests included — plus any fully-received
-   request still in a socket buffer, and write it all out. Shedding is
-   off: a request the client already sent gets an answer, not a retry
-   hint. A client is read again only once its answers are out, so the
-   drain ends after a round that began with nothing to write and
-   admitted nothing. *)
-let drain st =
-  List.iter Conn.close_listener st.listeners;
-  let rec loop () =
-    let writing = List.exists Conn.unwritten st.conns in
-    let before = st.admitted in
-    poll st ~timeout:(if writing then 0.2 else 0.) ();
-    enqueue_ready st ~shedding:false;
+    (Conn.poll st.front ~timeout ());
+  let max_bytes = st.options.max_request_bytes in
+  Conn.each_line st.front ~max_bytes (fun conn -> function
+    | Conn.Line line -> admit st ~shedding:(not draining) conn line
+    | Conn.Too_large ->
+        Conn.answer conn (Json.encode_line (Protocol.too_large ~max_bytes));
+        Metrics.record st.metrics ~route:"invalid" ~ok:false ~latency_s:0.);
+  if draining then
     while not (Queue.is_empty st.queue) do
       process st
-    done;
-    if writing || st.admitted > before || List.exists Conn.unwritten st.conns
-    then loop ()
+    done
+  else process st
+
+let drain st =
+  let drain () =
+    Conn.drain st.front ~round:(fun ~timeout ->
+        sweep st ~draining:true ~timeout)
   in
-  if not (List.is_empty st.conns && Queue.is_empty st.queue) then
+  if Conn.idle st.front && Queue.is_empty st.queue then drain ()
+  else
     Tracing.Tracer.with_span ~id:0 ~label:"daemon.drain"
-      Tracing.Span.Daemon_request loop;
-  List.iter Conn.close st.conns;
-  st.conns <- []
+      Tracing.Span.Daemon_request drain
 
 let validate options =
   Result.bind
@@ -609,23 +560,18 @@ let validate options =
   else if options.verify_sample < 0 then Error "--verify-sample must be >= 0"
   else Ok ()
 
-let serve ?pool ?on_ready ~stop options listeners =
+let serve ?pool ?on_ready ~stop options front =
   let pool = match pool with Some p -> p | None -> Parallel.Pool.default () in
-  let previous_sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
   let st =
     {
       options;
       pool;
-      listeners;
+      front;
       cache = Lru.create ~capacity:options.cache_entries;
       metrics = Metrics.create ();
       counters = Tracing.Counters.create ();
       domains = Parallel.Pool.domains pool;
-      give_up_s =
-        (if options.io_timeout_ms = 0 then infinity
-         else float_of_int options.io_timeout_ms /. 1000.);
       deadline_s = float_of_int options.deadline_ms /. 1000.;
-      conns = [];
       queue = Queue.create ();
       admitted = 0;
       served = 0;
@@ -633,31 +579,24 @@ let serve ?pool ?on_ready ~stop options listeners =
     }
   in
   List.iter
-    (fun l ->
-      Printf.eprintf "rexspeed serve: listening on %s\n%!" (Conn.endpoint l))
-    listeners;
+    (Printf.eprintf "rexspeed serve: listening on %s\n%!")
+    (Conn.endpoints front);
   Option.iter (fun f -> f ()) on_ready;
+  (* A backlog means there is work regardless of the sockets: poll
+     instead of sleeping. *)
   while not (Atomic.get stop) do
-    sweep st
+    sweep st ~draining:false
+      ~timeout:(if Queue.is_empty st.queue then 0.2 else 0.)
   done;
   drain st;
-  Printf.eprintf "rexspeed serve: drained, %d request(s) served\n%!" st.served;
-  ignore (Sys.signal Sys.sigpipe previous_sigpipe)
+  Printf.eprintf "rexspeed serve: drained, %d request(s) served\n%!" st.served
 
 let run ?pool ?on_ready ~stop options =
-  match validate options with
-  | Error _ as e -> e
-  | Ok () -> (
-      match Conn.listen ~port:options.port ~socket_path:options.socket_path with
-      | Error _ as e -> e
-      | Ok listeners ->
-          (* From here on the daemon owns the socket path: unlink it on
-             every exit, normal drain or escaping exception, so a crash
-             never leaves a stale file that blocks the next start. *)
-          Fun.protect
-            ~finally:(fun () ->
-              Option.iter
-                (fun path -> try Unix.unlink path with Unix.Unix_error _ -> ())
-                options.socket_path)
-            (fun () -> serve ?pool ?on_ready ~stop options listeners);
-          Ok ())
+  Result.bind (validate options) @@ fun () ->
+  Conn.serve ~port:options.port ~socket_path:options.socket_path
+    ~give_up_s:
+      (if options.io_timeout_ms = 0 then infinity
+       else float_of_int options.io_timeout_ms /. 1000.)
+  @@ fun front ->
+  serve ?pool ?on_ready ~stop options front;
+  Ok ()

@@ -51,7 +51,9 @@
     corrupted computation is caught before it reaches the wire or the
     cache. Worker-domain deaths below the daemon are handled by the
     pool's supervisor ([Parallel.Pool]); restarts surface in the
-    [health] route.
+    [health] route. Two bounds need no option: past 1,000 connections
+    a new client is closed at once ({!Conn}), and a drain ends within
+    30 s.
 
     {2 Telemetry}
 
@@ -70,12 +72,17 @@
 
     {2 Shutdown}
 
-    Setting the run's [stop] flag triggers a graceful drain: listeners
-    close, every admitted request — queued-but-unstarted ones included
-    — and every fully-received request still in a socket buffer is
-    answered (shedding off), then connections close and {!run}
-    returns. The Unix socket path is unlinked on every exit, clean or
-    crashed, and at startup a leftover socket file is removed only
+    Setting the run's [stop] flag triggers a graceful drain, the one
+    {!Conn.drain}: listeners close, every admitted request —
+    queued-but-unstarted ones included — and every fully-received
+    request still in a socket buffer is answered (shedding off), until
+    a sweep begins and ends with every live client owed nothing and
+    holding no unwritten bytes. The drain gives up 30 s after it began,
+    so a client that stops reading cannot hold the daemon, even at
+    [io_timeout_ms = 0]. Then connections close and {!run} returns.
+    On every exit, clean or crashed, the listeners and connections
+    close, the Unix socket path is unlinked and SIGPIPE is restored
+    ({!Conn.serve}); at startup a leftover socket file is removed only
     after a liveness probe proves no daemon owns it. Malformed input
     never kills the daemon — it is answered with a structured JSON
     error (and the connection closed, once answered, only when a

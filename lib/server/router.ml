@@ -36,16 +36,8 @@ let probe_interval_s = 0.5
 let revive_interval_s = 2.0
 let max_respawn_attempts = 3
 
-(* ------------------------------------------------------------------ *)
-(* Clients                                                             *)
-
-type client = {
-  conn : Conn.t;
-  mutable inflight : int;  (* requests awaiting a response *)
-}
-
 let respond_local client response =
-  Conn.send client.conn (Json.encode_line response)
+  Conn.answer client (Json.encode_line response)
 
 (* ------------------------------------------------------------------ *)
 (* Owed work                                                           *)
@@ -54,7 +46,7 @@ let respond_local client response =
    live shard, composed into a single response when the last leg
    lands. A down shard's part stays [None]. *)
 type agg = {
-  agg_client : client;
+  agg_client : Conn.t;
   agg_id : Json.t;
   agg_route : string;
   mutable agg_waiting : int;
@@ -62,7 +54,7 @@ type agg = {
 }
 
 (* What a worker's answer to an owed line completes. *)
-type owed = Relay of { client : client; id : Json.t } | Fanout of agg
+type owed = Relay of { client : Conn.t; id : Json.t } | Fanout of agg
 
 (* Each shard's owed lines by ordinal. Answers are matched by ordinal
    and may come in any order (a shedding worker answers its sheds
@@ -282,13 +274,12 @@ let make_runtime_dir () =
 
 type state = {
   options : options;
-  listeners : Conn.listener list;
+  front : Conn.front;
   runtime_dir : string;
   counters : Tracing.Counters.t;
   map : Shard_map.t;
   shards : shard array;
   probe_timeout_s : float;
-  mutable clients : client list;
   mutable next_ordinal : int;
   mutable served : int;
 }
@@ -318,20 +309,11 @@ let spawn_worker st shard =
       shard.worker
   with
   | Error _ as e -> e
-  | Ok () -> (
-      match
-        Supervisor.wait_ready shard.worker
-          ~timeout_ms:st.options.spawn_timeout_ms
-      with
-      | Error _ as e -> e
-      | Ok () -> (
-          close_link shard;
-          match Conn.connect socket_path with
-          | Ok link ->
-              shard.link <- Some link;
-              Ok ()
-          | Error e ->
-              Error (Printf.sprintf "shard %d: cannot connect: %s" index e)))
+  | Ok () ->
+      Result.map
+        (fun link -> shard.link <- Some link)
+        (Supervisor.wait_ready shard.worker
+           ~timeout_ms:st.options.spawn_timeout_ms)
 
 (* Queue one line on the shard's worker link. An [Error] names what
    failed: the link, never the line. *)
@@ -343,7 +325,6 @@ let write shard line =
   | Some _ | None -> Error "no worker connection"
 
 let finish_fanout st agg =
-  agg.agg_client.inflight <- agg.agg_client.inflight - 1;
   let counters = st.counters and shards = st.shards in
   respond_local agg.agg_client
     (match agg.agg_route with
@@ -363,10 +344,9 @@ let settle st shard owed answer =
   let index = shard.worker.Supervisor.index in
   match owed with
   | Relay { client; id } ->
-      client.inflight <- client.inflight - 1;
       (match answer with
       | Some (line, rest_at) ->
-          Conn.send client.conn (restore_id ~id line rest_at ^ "\n")
+          Conn.answer client (restore_id ~id line rest_at ^ "\n")
       | None -> respond_local client (unavailable ~id index));
       st.served <- st.served + 1
   | Fanout agg ->
@@ -480,7 +460,6 @@ let enqueue st shard ordinal line owed =
   send_or_failover st shard line
 
 let fanout st client ~id route =
-  client.inflight <- client.inflight + 1;
   let agg =
     {
       agg_client = client;
@@ -517,20 +496,10 @@ let route_line st client line =
       Tracing.Counters.bump st.counters Router_routed;
       let shard = st.shards.(index) in
       if shard.down then answer (unavailable ~id index)
-      else begin
-        client.inflight <- client.inflight + 1;
+      else
         enqueue st shard ordinal
           (rewrite_request ~ordinal line)
           (Relay { client; id })
-      end
-
-let handle_client_lines st client =
-  let max_bytes = st.options.max_request_bytes in
-  List.iter
-    (function
-      | Conn.Line line -> route_line st client line
-      | Conn.Too_large -> respond_local client (Protocol.too_large ~max_bytes))
-    (Conn.lines ~max_bytes client.conn)
 
 (* Liveness: process exits caught by waitpid, wedged workers by a
    stalled health probe, down shards periodically revived. *)
@@ -560,16 +529,9 @@ let probe_tick st =
             end)
     st.shards
 
-let sweep st ~accepting ~timeout =
+let sweep st ~timeout =
   let links = List.filter_map (fun s -> s.link) (Array.to_list st.shards) in
-  let events =
-    Conn.poll
-      ~listeners:(if accepting then st.listeners else [])
-      (links @ List.map (fun c -> c.conn) st.clients)
-      ~give_up_s:write_give_up_s ~timeout
-  in
-  st.clients <-
-    st.clients @ List.map (fun conn -> { conn; inflight = 0 }) events.accepted;
+  let timed_out = Conn.poll st.front ~links ~timeout () in
   Array.iter
     (fun shard ->
       match shard.link with
@@ -579,48 +541,23 @@ let sweep st ~accepting ~timeout =
           if Conn.eof link then
             failover st shard
               ~reason:
-                (if List.memq link events.timed_out then "worker link stalled"
+                (if List.memq link timed_out then "worker link stalled"
                  else "worker connection closed"))
     st.shards;
-  List.iter
-    (fun c -> if not (Conn.dead c.conn) then handle_client_lines st c)
-    st.clients;
-  probe_tick st;
-  (* Close a client at EOF only once its answers are out. Lines owed
-     to a dropped client still complete on their worker; a dead
-     connection discards their responses. *)
-  let gone, live =
-    List.partition
-      (fun c -> Conn.dead c.conn || (Conn.drained c.conn && c.inflight <= 0))
-      st.clients
-  in
-  List.iter (fun c -> Conn.close c.conn) gone;
-  st.clients <- live
+  let max_bytes = st.options.max_request_bytes in
+  Conn.each_line st.front ~max_bytes (fun client -> function
+    | Conn.Line line -> route_line st client line
+    | Conn.Too_large -> respond_local client (Protocol.too_large ~max_bytes));
+  probe_tick st
 
-(* Drain: stop accepting, answer everything in flight plus any
-   fully-received request still in a socket buffer, then stop the
-   fleet. Time-bounded so a wedged worker cannot hang shutdown:
-   leftovers get a structured error. A client is read again only once
-   its answers are out, so a sweep that began with bytes to write is
-   never a quiet one. *)
+(* Drain: answer everything live clients are owed plus any
+   fully-received request still in a socket buffer, within the front's
+   bound, then answer what is still owed with [shard_unavailable]: a
+   wedged worker cannot hang shutdown. Lines owed to a client that has
+   closed are not waited for. *)
 let drain st =
-  List.iter Conn.close_listener st.listeners;
-  let give_up_at = Metrics.now_s () +. 30. in
-  let writing () = List.exists (fun c -> Conn.unwritten c.conn) st.clients in
-  let quiet = ref 0 in
-  while
-    (in_flight st.shards > 0 || writing () || !quiet < 2)
-    && Metrics.now_s () < give_up_at
-  do
-    let before = st.served and was_writing = writing () in
-    sweep st ~accepting:false ~timeout:0.05;
-    if in_flight st.shards = 0 && st.served = before && not was_writing then
-      incr quiet
-    else quiet := 0
-  done;
-  Array.iter (abandon_owed st) st.shards;
-  List.iter (fun c -> Conn.close c.conn) st.clients;
-  st.clients <- []
+  Conn.drain st.front ~round:(fun ~timeout -> sweep st ~timeout);
+  Array.iter (abandon_owed st) st.shards
 
 let validate (options : options) =
   Result.bind
@@ -634,11 +571,11 @@ let validate (options : options) =
     Error "--max-request-bytes must be at least 2"
   else Ok ()
 
-let create (options : options) listeners =
+let create (options : options) front =
   let runtime_dir = make_runtime_dir () in
   {
     options;
-    listeners;
+    front;
     runtime_dir;
     counters = Tracing.Counters.create ();
     map = Shard_map.create ~shards:options.shards;
@@ -658,7 +595,6 @@ let create (options : options) listeners =
           });
     probe_timeout_s =
       Float.max 2. (float_of_int options.spawn_timeout_ms /. 1000.);
-    clients = [];
     next_ordinal = 0;
     served = 0;
   }
@@ -669,10 +605,7 @@ let cleanup st =
       close_link shard;
       Supervisor.terminate shard.worker ~grace_ms:5_000)
     st.shards;
-  (try Unix.rmdir st.runtime_dir with Unix.Unix_error _ -> ());
-  Option.iter
-    (fun path -> try Unix.unlink path with Unix.Unix_error _ -> ())
-    st.options.socket_path
+  try Unix.rmdir st.runtime_dir with Unix.Unix_error _ -> ()
 
 (* Spawn the whole fleet before accepting traffic, then route until
    stopped and drain. A stop that lands during startup spawns no
@@ -689,22 +622,18 @@ let serve ?on_ready ~stop st =
       (Ok ()) st.shards
   in
   match startup with
-  | Error e ->
-      List.iter Conn.close_listener st.listeners;
-      Error e
-  | Ok () when Atomic.get stop ->
-      List.iter Conn.close_listener st.listeners;
-      Ok ()
+  | Error _ as e -> e
+  | Ok () when Atomic.get stop -> Ok ()
   | Ok () ->
       List.iter
-        (fun l ->
+        (fun endpoint ->
           Printf.eprintf
-            "rexspeed serve: router listening on %s (%d shards)\n%!"
-            (Conn.endpoint l) st.options.shards)
-        st.listeners;
+            "rexspeed serve: router listening on %s (%d shards)\n%!" endpoint
+            st.options.shards)
+        (Conn.endpoints st.front);
       Option.iter (fun f -> f ()) on_ready;
       while not (Atomic.get stop) do
-        sweep st ~accepting:true ~timeout:0.2
+        sweep st ~timeout:0.2
       done;
       drain st;
       Printf.eprintf
@@ -713,16 +642,9 @@ let serve ?on_ready ~stop st =
       Ok ()
 
 let run ?on_ready ~stop options =
-  match validate options with
-  | Error _ as e -> e
-  | Ok () -> (
-      match Conn.listen ~port:options.port ~socket_path:options.socket_path with
-      | Error _ as e -> e
-      | Ok listeners ->
-          let st = create options listeners in
-          let previous_sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
-          Fun.protect
-            ~finally:(fun () ->
-              cleanup st;
-              ignore (Sys.signal Sys.sigpipe previous_sigpipe))
-            (fun () -> serve ?on_ready ~stop st))
+  Result.bind (validate options) @@ fun () ->
+  Conn.serve ~port:options.port ~socket_path:options.socket_path
+    ~give_up_s:write_give_up_s
+  @@ fun front ->
+  let st = create options front in
+  Fun.protect ~finally:(fun () -> cleanup st) (fun () -> serve ?on_ready ~stop st)

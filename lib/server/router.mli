@@ -13,11 +13,12 @@
 
     Like the daemon, the router is a request handler over {!Conn}: one
     [select] per sweep covers the public listeners, every client and
-    every worker link, and nothing else waits. A client with unwritten
-    responses is not read again until they drain. A worker link is
-    read on every sweep, and a line is queued on its link the moment
-    the router owes it, so the router and a worker never deadlock
-    writing to each other.
+    every worker link, and nothing else waits. {!Conn} keeps the
+    clients and counts what each is owed; the router keeps what each
+    shard owes. A client with unwritten responses is not read again
+    until they drain. A worker link is read on every sweep, and a line
+    is queued on its link the moment the router owes it, so the router
+    and a worker never deadlock writing to each other.
 
     {2 Routing}
 
@@ -69,7 +70,23 @@
     divergent response. If respawn fails repeatedly the shard is
     marked down, everything it owes is answered with a structured
     [shard_unavailable] error (a fan-out leg counts as missing), and
-    revival keeps being attempted in the background. *)
+    revival keeps being attempted in the background.
+
+    {2 Start-up and shutdown}
+
+    The router binds its public listeners first, then spawns the
+    workers one by one; a worker is ready once a connect to its socket
+    succeeds, tried every millisecond, and that connection becomes its
+    link. Clients are accepted once every worker is ready. A stop sets
+    off the daemon's drain ({!Conn.drain}) over the router's clients:
+    it stops accepting and routes on until a sweep begins and ends with
+    every live client owed nothing and holding no unwritten bytes, or
+    for 30 s at most. Lines owed to a client that has already closed
+    are not waited for. What is still owed then is answered
+    [shard_unavailable]. The workers are SIGTERMed (each drains in
+    turn) and reaped, and, on every exit, clean or crashed, the
+    clients and listeners close, the public socket is unlinked and
+    SIGPIPE is restored ({!Conn.serve}). *)
 
 type options = {
   port : int option;  (** Public TCP listener on 127.0.0.1, if given. *)
@@ -105,15 +122,15 @@ val validate : options -> (unit, string) result
 val run :
   ?on_ready:(unit -> unit) -> stop:bool Atomic.t -> options ->
   (unit, string) result
-(** Spawn the fleet and route until [stop] is set, then drain: answer
-    everything in flight, SIGTERM the workers, clean up sockets. The
-    flag is the caller's and this run only reads it; the CLI's
-    SIGINT/SIGTERM handlers set it and are installed before [run]
-    starts. A flag set while the fleet is still starting (or before
-    [run]) spawns no further worker and returns [Ok ()] without
-    serving; the workers already spawned are terminated, so none
-    outlives the router. SIGPIPE is ignored while the router runs.
+(** Spawn the fleet and route until [stop] is set, then drain (see
+    Start-up and shutdown above). The flag is the caller's and this run
+    only reads it; the CLI's SIGINT/SIGTERM handlers set it and are
+    installed before [run] starts. A flag set while the fleet is still
+    starting (or before [run]) spawns no further worker and returns
+    [Ok ()] without serving; the workers already spawned are
+    terminated, so none outlives the router. SIGPIPE is ignored while
+    the router runs.
     [on_ready] fires once the public listeners are bound and every
-    worker accepted its probe. [Error message] reports invalid
+    worker's link is connected. [Error message] reports invalid
     options, an unbindable listener, or a worker that could not be
     spawned at startup. *)

@@ -56,13 +56,8 @@ let alive worker =
       false
   | exception Unix.Unix_error (EINTR, _, _) -> true
 
-let probe_accepts path =
-  match Conn.connect path with
-  | Ok probe ->
-      Conn.close probe;
-      true
-  | Error _ -> false
-
+(* A worker binds its socket a few milliseconds after it starts, so a
+   1 ms poll keeps start-up from being rounded up to the poll period. *)
 let wait_ready worker ~timeout_ms =
   let deadline = Metrics.now_s () +. (float_of_int timeout_ms /. 1000.) in
   let rec loop () =
@@ -70,15 +65,16 @@ let wait_ready worker ~timeout_ms =
       Error
         (Printf.sprintf "shard %d: worker exited during startup"
            worker.index)
-    else if probe_accepts worker.socket_path then Ok ()
-    else if Metrics.now_s () > deadline then
-      Error
-        (Printf.sprintf "shard %d: worker not accepting after %d ms"
-           worker.index timeout_ms)
-    else begin
-      Unix.sleepf 0.02;
-      loop ()
-    end
+    else
+      match Conn.connect worker.socket_path with
+      | Ok link -> Ok link
+      | Error _ when Metrics.now_s () > deadline ->
+          Error
+            (Printf.sprintf "shard %d: worker not accepting after %d ms"
+               worker.index timeout_ms)
+      | Error _ ->
+          Unix.sleepf 0.001;
+          loop ()
   in
   loop ()
 

@@ -28,10 +28,11 @@ val alive : worker -> bool
 (** Non-blocking liveness poll ([waitpid WNOHANG]); reaps and records
     the exit when the process is gone. *)
 
-val wait_ready : worker -> timeout_ms:int -> (unit, string) result
-(** Wait until the worker accepts connections on its socket, polling a
-    connect probe; fails early if the process exits, or after
-    [timeout_ms] without a successful probe. *)
+val wait_ready : worker -> timeout_ms:int -> (Conn.t, string) result
+(** Wait until the worker accepts connections on its socket, trying to
+    connect every millisecond, and return the connection that succeeded:
+    the router's link to the worker. Fails early if the process exits,
+    or after [timeout_ms] without a connection. *)
 
 val kill : worker -> unit
 (** SIGKILL and reap immediately: the failover path, where a worker

@@ -68,3 +68,13 @@ net_start_tcp_serve() {
   done
   return 1
 }
+
+# Raise this shell's soft open-file limit to at least $1, for a check
+# that holds many connections; the servers it starts afterwards inherit
+# it. Fails, changing nothing, if the limit cannot reach $1.
+net_fd_limit() { # $1 = files
+  _n=$(ulimit -n)
+  [ "$_n" = unlimited ] && return 0
+  [ "$_n" -ge "$1" ] && return 0
+  ulimit -S -n "$1" 2>/dev/null
+}

@@ -1,4 +1,4 @@
-(* Client for the serve smoke tests, in three modes.
+(* Client for the serve smoke tests, in four modes.
 
    One-shot: send one request line to a daemon on a Unix-domain socket
    (or 127.0.0.1 TCP via a "tcp:PORT" target), read one response line,
@@ -18,11 +18,17 @@
 
    Ids (--ids N): send N copies of a request object, the i-th with
    "id":i spliced in as its first member, reading answers while
-   sending; shut the write side once every line is out, and read to
-   EOF. Each id must be answered exactly once, with status "ok" (with
-   --shed, "ok" or a "shed" error), all within --within seconds. Prints
-   three counts: ok answers, shed answers, and answers that came after
-   an answer to a later id (out of request order). *)
+   sending; shut the write side once every line is out (and, given
+   --sent FILE, create FILE then), and read to EOF. Each id must be
+   answered exactly once, with status "ok" (with --shed, "ok" or a
+   "shed" error), all within --within seconds. Prints three counts: ok
+   answers, shed answers, and answers that came after an answer to a
+   later id (out of request order).
+
+   Idle (--idle N): open N connections and send nothing on them,
+   demand a health answer on the first, close them all, then demand a
+   health answer on a fresh connection, each within --within seconds.
+   A server may close the connections past its cap at once. Prints N. *)
 
 let die fmt =
   Printf.ksprintf
@@ -127,15 +133,14 @@ let write_some fd payload sent =
 
 (* Write [payload] on the non-blocking [fd] while handing each answer
    line read back to [on_line], until [finished ()] holds or the peer
-   closes. With [half_close] the write side is shut once the last byte
-   is out. Dies past [within] seconds. *)
-let exchange fd ~within ~half_close payload ~on_line ~finished =
+   closes. [on_sent] runs once the last byte is out. Dies past [within]
+   seconds. *)
+let exchange fd ~within ?(on_sent = ignore) payload ~on_line ~finished =
   let deadline = Server.Metrics.now_s () +. within in
   let sent = ref 0 and eof = ref false in
   let send () =
     write_some fd payload sent;
-    if half_close && !sent = String.length payload then
-      Unix.shutdown fd Unix.SHUTDOWN_SEND
+    if !sent = String.length payload then on_sent ()
   in
   let inbox = Buffer.create 65536 in
   let chunk = Bytes.create 65536 in
@@ -188,7 +193,7 @@ let pipeline ~count ~read ~within target request expected =
   end
   else begin
     let answers = ref 0 in
-    exchange fd ~within ~half_close:false payload
+    exchange fd ~within payload
       ~on_line:(fun line ->
         incr answers;
         check_answer ~expected !answers line)
@@ -201,7 +206,7 @@ let pipeline ~count ~read ~within target request expected =
 
 (* Ids mode: the i-th copy of [request] carries "id":i as its first
    member; each id must come back exactly once, before EOF. *)
-let ids ~count ~shed ~within target request =
+let ids ~count ~shed ~sent ~within target request =
   if String.length request < 2 || request.[0] <> '{' then
     die "--ids needs a JSON object request";
   let rest = String.sub request 1 (String.length request - 1) in
@@ -243,16 +248,41 @@ let ids ~count ~shed ~within target request =
         (if shed then "ok or shed" else "ok")
         line
   in
-  exchange fd ~within ~half_close:true payload ~on_line
-    ~finished:(fun () -> false);
+  let on_sent () =
+    Unix.shutdown fd Unix.SHUTDOWN_SEND;
+    Option.iter (fun path -> close_out (open_out path)) sent
+  in
+  exchange fd ~within ~on_sent payload ~on_line ~finished:(fun () -> false);
   Unix.close fd;
   if !ok + !sheds < count then
     die "EOF after %d of %d answers" (!ok + !sheds) count;
   Printf.printf "%d %d %d\n" !ok !sheds !late
 
+(* Idle mode: a health answer on the first of [count] idle connections,
+   and on a fresh one once they are all closed. *)
+let idle ~count ~within target =
+  let health fd =
+    Unix.set_nonblock fd;
+    let answered = ref false in
+    exchange fd ~within "{\"route\":\"health\"}\n"
+      ~on_line:(fun line ->
+        check_answer ~expected:None 1 line;
+        answered := true)
+      ~finished:(fun () -> !answered);
+    if not !answered then die "connection closed before a health answer"
+  in
+  let conns = List.init count (fun _ -> connect target) in
+  health (List.hd conns);
+  List.iter Unix.close conns;
+  let fresh = connect target in
+  health fresh;
+  Unix.close fresh;
+  Printf.printf "%d\n" count
+
 let () =
-  let count = ref None and id_count = ref None and read = ref true in
-  let shed = ref false and within = ref 60. in
+  let count = ref None and id_count = ref None and idle_count = ref None in
+  let read = ref true and shed = ref false and sent = ref None in
+  let within = ref 60. in
   let positive flag n =
     match int_of_string_opt n with
     | Some n when n >= 1 -> Some n
@@ -268,8 +298,14 @@ let () =
     | "--no-read" :: rest ->
         read := false;
         parse rest
+    | "--idle" :: n :: rest ->
+        idle_count := positive "--idle" n;
+        parse rest
     | "--shed" :: rest ->
         shed := true;
+        parse rest
+    | "--sent" :: path :: rest ->
+        sent := Some path;
         parse rest
     | "--within" :: s :: rest -> (
         match float_of_string_opt s with
@@ -281,21 +317,23 @@ let () =
   in
   let positional = parse (List.tl (Array.to_list Sys.argv)) in
   let read = !read and within = !within in
-  match (!count, !id_count, positional) with
-  | None, None, [ target; request ] -> one_shot target request None
-  | None, None, [ target; request; field ] ->
+  match (!count, !id_count, !idle_count, positional) with
+  | None, None, None, [ target; request ] -> one_shot target request None
+  | None, None, None, [ target; request; field ] ->
       one_shot target request (Some field)
-  | Some count, None, [ target; request ] ->
+  | Some count, None, None, [ target; request ] ->
       pipeline ~count ~read ~within target request None
-  | Some count, None, [ target; request; expected ] ->
+  | Some count, None, None, [ target; request; expected ] ->
       pipeline ~count ~read ~within target request
         (Some (In_channel.with_open_bin expected In_channel.input_all))
-  | None, Some count, [ target; request ] ->
-      ids ~count ~shed:!shed ~within target request
+  | None, Some count, None, [ target; request ] ->
+      ids ~count ~shed:!shed ~sent:!sent ~within target request
+  | None, None, Some count, [ target ] -> idle ~count ~within target
   | _ ->
       die
         "usage: serve_client SOCKET|tcp:PORT REQUEST [FIELD.PATH]\n\
         \       serve_client --pipeline N [--no-read] [--within S] \
          SOCKET|tcp:PORT REQUEST [EXPECTED]\n\
-        \       serve_client --ids N [--shed] [--within S] SOCKET|tcp:PORT \
-         REQUEST"
+        \       serve_client --ids N [--shed] [--sent FILE] [--within S] \
+         SOCKET|tcp:PORT REQUEST\n\
+        \       serve_client --idle N [--within S] SOCKET|tcp:PORT"

@@ -8,6 +8,8 @@
 # the same identity over the other listener family. A number a double
 # cannot hold gets a parse error and leaves the daemon serving. A
 # client that half-closes after a burst gets every answer, then EOF.
+# 1,100 idle connections, more than select can take, leave the daemon
+# answering.
 #
 # Usage: sh serve_smoke.sh path/to/rexspeed.exe path/to/serve_client.exe
 set -eu
@@ -127,6 +129,21 @@ got=$("$client" --ids 2000 --within 60 "$sock" "$opt_req") ||
 [ "${got%% *}" = 2000 ] ||
   fail "half-closed burst: $got (ok, shed, late), want 2000 ok"
 stop_server
+
+# Connection cap: 1,100 idle connections, past select's FD_SETSIZE of
+# 1024, must not kill the daemon. It answers health on the first,
+# drops the ones past its cap, and answers a fresh client once they
+# have closed. Both processes need more than 1,100 open files.
+if net_fd_limit 1200; then
+  start_server --domains 1
+  "$client" --idle 1100 --within 30 "$sock" >/dev/null ||
+    fail "1,100 idle connections: no health answer"
+  kill -0 "$server_pid" 2>/dev/null ||
+    fail "daemon died under 1,100 idle connections"
+  stop_server
+else
+  echo "serve_smoke.sh: open-file limit below 1200, connection cap not checked" >&2
+fi
 
 # TCP listener: same bytes over 127.0.0.1 on an ephemeral port,
 # allocated with retry on EADDRINUSE so parallel test runs coexist.

@@ -13,7 +13,9 @@
 # then EOF; a shedding worker's out-of-order answers still reach their
 # client exactly once; a wedged worker is failed over on its stalled
 # health probe. A number a double cannot hold gets a parse error and
-# leaves the router serving.
+# leaves the router serving. 1,100 idle connections, more than select
+# can take, leave the router answering. A SIGTERM that lands while a
+# burst is in flight still answers every request, then drains.
 #
 # Usage: sh shard_smoke.sh path/to/rexspeed.exe path/to/serve_client.exe
 set -eu
@@ -29,8 +31,10 @@ tmp=$(net_tmpdir)
 export TMPDIR="$tmp"
 router_pid=
 stall_pid=
+burst_pid=
 cleanup() {
   [ -z "$stall_pid" ] || kill "$stall_pid" 2>/dev/null || true
+  [ -z "$burst_pid" ] || kill "$burst_pid" 2>/dev/null || true
   [ -z "$router_pid" ] || kill "$router_pid" 2>/dev/null || true
   pkill -KILL -f "$tmp/rexspeed-shard" 2>/dev/null || true
   rm -rf "$tmp"
@@ -286,6 +290,51 @@ code=$("$client" "$sock" "$(padded_request 65)" error.code) ||
 [ "$code" = "too-large" ] ||
   fail "64-byte-limit fleet: a 65-byte line got $code, want too-large"
 stop_router
+
+# Connection cap: 1,100 idle connections, past select's FD_SETSIZE of
+# 1024, must not kill the router. It answers health on the first,
+# drops the ones past its cap, and answers a fresh client once they
+# have closed. Both processes need more than 1,100 open files.
+if net_fd_limit 1200; then
+  start_router 2 1
+  "$client" --idle 1100 --within 30 "$sock" >/dev/null ||
+    fail "1,100 idle connections: no health answer through the router"
+  kill -0 "$router_pid" 2>/dev/null ||
+    fail "router died under 1,100 idle connections"
+  stop_router
+else
+  echo "shard_smoke.sh: open-file limit below 1200, connection cap not checked" >&2
+fi
+
+# Drain under load: SIGTERM the router as soon as a client has written
+# a 200-line burst of uncached 2,000-replica evaluations, about 2 ms of
+# work each on one worker. Every id is still answered once, ok, and
+# then the client reads EOF; the router exits 0, removes its socket
+# and leaves no worker.
+start_router 2 1 --cache-entries 0
+pids=$(worker_pids 2)
+slow_req='{"route":"evaluate","params":{"w":2764,"s1":0.4,"s2":1,"replicas":2000}}'
+"$client" --ids 200 --sent "$tmp/burst.sent" --within 60 "$sock" "$slow_req" \
+  >"$tmp/burst.out" &
+burst_pid=$!
+tries=0
+until [ -e "$tmp/burst.sent" ]; do
+  tries=$((tries + 1))
+  [ "$tries" -lt 2000 ] || fail "in-flight burst never written"
+  sleep 0.005
+done
+stop_router
+wait "$burst_pid" || fail "a SIGTERM in flight left an id unanswered"
+burst_pid=
+got=$(cat "$tmp/burst.out")
+[ "${got%% *}" = 200 ] ||
+  fail "a SIGTERM in flight: $got (ok, shed, late), want 200 ok"
+sleep 0.2
+for p in $pids; do
+  if kill -0 "$p" 2>/dev/null; then
+    fail "worker $p survived a drain under load"
+  fi
+done
 
 # SIGTERM while the fleet is still starting: the router drains what it
 # has spawned and exits cleanly, and no worker outlives it. Its runtime

@@ -1361,7 +1361,9 @@ let health_status fd id =
 
 let test_daemon_stop_is_per_run () =
   (* Two daemons in one process, each with its own flag: stopping one
-     drains that one alone, and the other keeps answering. *)
+     drains that one alone, and the other keeps answering, with SIGPIPE
+     still ignored: a peer that vanishes with answers owed must not
+     kill the process. *)
   let stop_first = Atomic.make false in
   with_daemon ~stop:stop_first Server.Daemon.default_options
   @@ fun first_path ->
@@ -1383,6 +1385,14 @@ let test_daemon_stop_is_per_run () =
   await_exit 1000;
   Alcotest.(check bool) "first daemon drained" false
     (Sys.file_exists first_path);
+  (* About 700 KB of answers: more than the socket holds, so the second
+     daemon is still writing when this peer closes. *)
+  with_client second_path (fun gone ->
+      write_all gone
+        (String.concat ""
+           (List.init 400 (fun _ ->
+                {|{"route":"optimize","params":{"rho":3}}|} ^ "\n"))));
+  Unix.sleepf 0.3;
   Alcotest.(check (option string))
     "second daemon still answers" (Some "ok") (health_status second 2)
 
