@@ -107,7 +107,9 @@ type pending = {
 type t = {
   fd : Unix.file_descr;
   client : bool;  (* accepted: not read while output is queued *)
-  inbox : Buffer.t;  (* bytes read, not yet framed into lines *)
+  mutable inbox : Bytes.t;  (* bytes read, not yet framed into lines, *)
+  mutable inbox_len : int;  (* up to this offset *)
+  mutable scanned : int;  (* no '\n' in the inbox below this offset *)
   out : pending Queue.t;
   mutable eof : bool;
   mutable dead : bool;
@@ -120,7 +122,9 @@ let make ~client fd =
   {
     fd;
     client;
-    inbox = Buffer.create 256;
+    inbox = Bytes.create 256;
+    inbox_len = 0;
+    scanned = 0;
     out = Queue.create ();
     eof = false;
     dead = false;
@@ -190,6 +194,17 @@ let answer ?on_done c data =
    an in-process harness may run a daemon and a router side by side. *)
 let scratch = Domain.DLS.new_key (fun () -> Bytes.create 65536)
 
+(* Append [n] bytes of [chunk] to the inbox, doubling it when full. *)
+let append c chunk n =
+  let len = c.inbox_len + n in
+  if len > Bytes.length c.inbox then begin
+    let grown = Bytes.create (Int.max len (2 * Bytes.length c.inbox)) in
+    Bytes.blit c.inbox 0 grown 0 c.inbox_len;
+    c.inbox <- grown
+  end;
+  Bytes.blit chunk 0 c.inbox c.inbox_len n;
+  c.inbox_len <- len
+
 (* A read shorter than the chunk has drained the socket: whatever
    arrives after it, EOF included, makes the next [select] report the
    fd again. So only a full chunk reads on, and no read is issued just
@@ -198,7 +213,7 @@ let rec read_into c chunk =
   match Unix.read c.fd chunk 0 (Bytes.length chunk) with
   | 0 -> c.eof <- true
   | n ->
-      Buffer.add_subbytes c.inbox chunk 0 n;
+      append c chunk n;
       c.last_activity <- Metrics.now_s ();
       if n = Bytes.length chunk then read_into c chunk
   | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
@@ -209,32 +224,70 @@ let read c = if not c.eof then read_into c (Domain.DLS.get scratch)
 
 type line = Line of string | Too_large
 
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+let rec bytewise b i stop =
+  if i < stop && Bytes.unsafe_get b i <> '\n' then bytewise b (i + 1) stop
+  else i
+
+(* The offset of the first '\n' in [b] from [i] on, or [stop] if there
+   is none below [stop]. Eight bytes at a time: a word holds a '\n'
+   exactly when its xor with 0x0a in every byte has a zero byte, and a
+   word [x] has one exactly when (x - 0x01..01) land (lnot x) land
+   0x80..80 is not zero. The word that has one, and the last bytes
+   short of a word, are searched byte by byte. *)
+let rec newline b i stop =
+  if i + 8 > stop then bytewise b i stop
+  else
+    let x = Int64.logxor (get64 b i) 0x0a0a0a0a0a0a0a0aL in
+    if
+      Int64.logand
+        (Int64.logand (Int64.sub x 0x0101010101010101L) (Int64.lognot x))
+        0x8080808080808080L
+      = 0L
+    then newline b (i + 8) stop
+    else bytewise b i stop
+
+(* [String.trim]'s whitespace, so a line is blank exactly when it trims
+   to "". *)
+let rec blank b i stop =
+  i >= stop
+  ||
+  match Bytes.unsafe_get b i with
+  | ' ' | '\012' | '\n' | '\r' | '\t' -> blank b (i + 1) stop
+  | _ -> false
+
+(* Only the bytes past [scanned] are searched, so a partial line is
+   never scanned twice, and a line is copied out once. The unframed
+   tail then moves to the front of the inbox. *)
 let lines ?(max_bytes = max_int) c =
-  if Buffer.length c.inbox = 0 then []
+  if c.inbox_len = 0 then []
   else begin
-    let data = Buffer.contents c.inbox in
-    Buffer.clear c.inbox;
-    let rec split start acc =
-      match String.index_from_opt data start '\n' with
-      | None -> (start, acc)
-      | Some i ->
-          let line = String.sub data start (i - start) in
-          let acc =
-            if String.trim line = "" then acc
-            else if String.length line > max_bytes then Too_large :: acc
-            else Line line :: acc
-          in
-          split (i + 1) acc
+    let b = c.inbox and len = c.inbox_len in
+    let rec split start from acc =
+      let i = newline b from len in
+      if i = len then (start, acc)
+      else
+        let acc =
+          if blank b start i then acc
+          else if i - start > max_bytes then Too_large :: acc
+          else Line (Bytes.sub_string b start (i - start)) :: acc
+        in
+        split (i + 1) (i + 1) acc
     in
-    let start, acc = split 0 [] in
-    let tail = String.length data - start in
+    let start, acc = split 0 c.scanned [] in
+    let tail = len - start in
     let acc =
       if tail > max_bytes then begin
         c.eof <- true;
+        c.inbox_len <- 0;
+        c.scanned <- 0;
         Too_large :: acc
       end
       else begin
-        Buffer.add_substring c.inbox data start tail;
+        if start > 0 then Bytes.blit b start b 0 tail;
+        c.inbox_len <- tail;
+        c.scanned <- tail;
         acc
       end
     in
@@ -296,7 +349,7 @@ let endpoints front = List.map (fun l -> l.name) front.listeners
    byte read handed out, answered and written. *)
 let finished c =
   c.dead
-  || (c.eof && c.owed <= 0 && Buffer.length c.inbox = 0
+  || (c.eof && c.owed <= 0 && c.inbox_len = 0
      && Queue.is_empty c.out)
 
 let reap front =
@@ -341,7 +394,7 @@ let stalled ~now ~give_up_s c =
   (match Queue.peek_opt c.out with
   | Some p -> now -. p.since > give_up_s
   | None -> false)
-  || (Buffer.length c.inbox > 0 && now -. c.last_activity > give_up_s)
+  || (c.inbox_len > 0 && now -. c.last_activity > give_up_s)
 
 let poll front ?(links = []) ~timeout () =
   reap front;

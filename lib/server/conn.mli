@@ -68,12 +68,18 @@ type line = Line of string | Too_large
 
 val lines : ?max_bytes:int -> t -> line list
 (** Take the complete lines read so far, in order, skipping blank
-    ones. A line longer than [max_bytes] (default unlimited) is
-    [Too_large] and the connection reads on. An unterminated tail
-    longer than [max_bytes] is also [Too_large], but leaves no line
-    boundary to resynchronize on: it is discarded and the connection
-    is read no more, so it closes once answered. On a client each
-    line, [Too_large] included, is owed an answer. *)
+    ones (those [String.trim] empties). A line longer than [max_bytes]
+    (default unlimited) is [Too_large] and the connection reads on. An
+    unterminated tail longer than [max_bytes] is also [Too_large], but
+    leaves no line boundary to resynchronize on: it is discarded and
+    the connection is read no more, so it closes once answered. On a
+    client each line, [Too_large] included, is owed an answer.
+
+    Each byte is searched for a newline once, eight bytes at a time: a
+    partial tail is never searched again, however many reads it takes
+    to arrive, and a line is copied once, into the string handed out.
+    So framing a line costs time linear in its length, whatever the
+    pieces it arrives in. *)
 
 val read : t -> unit
 (** Read whatever the socket holds now, without waiting: {!poll} does
@@ -82,7 +88,9 @@ val read : t -> unit
     less than its 64 KiB chunk, which has drained the socket, so it
     never issues a read that can only fail with [EAGAIN]. An EOF
     behind the bytes of a short read is noted by the next call, once
-    [select] reports the fd again. *)
+    [select] reports the fd again. The bytes read are appended once to
+    the connection's inbox, which doubles when full and holds only
+    what {!lines} has not framed yet. *)
 
 val close : t -> unit
 (** Close the fd; unwritten bytes are discarded and their [on_done]

@@ -74,18 +74,34 @@ type shard = {
 (* ------------------------------------------------------------------ *)
 (* Id rewriting and response splicing                                  *)
 
+let id_prefix = "{\"id\":"
+
 (* Forwarded requests get the router ordinal spliced in as a duplicate
    first member: the daemon's decoder keeps duplicates and
    [Json.member] returns the first, so the worker echoes the ordinal
    while the client's own [id] member rides along untouched. Only
    lines that already parsed as valid requests reach this point, so
-   the object is never empty (it has at least "route"). *)
+   the object is never empty (it has at least "route"). The line is
+   built in one allocation: {"id":, the ordinal's digits, a comma, the
+   bytes after the client's '{', and "\n". *)
 let rewrite_request ~ordinal line =
   match String.index_opt line '{' with
   | Some i ->
-      Printf.sprintf "{\"id\":%d,%s\n" ordinal
-        (String.sub line (i + 1) (String.length line - i - 1))
-  | None -> Printf.sprintf "{\"id\":%d}\n" ordinal (* unreachable *)
+      let rec width n = if n < 10 then 1 else 1 + width (n / 10) in
+      let comma = String.length id_prefix + width ordinal in
+      let rest = String.length line - i - 1 in
+      let b = Bytes.create (comma + 1 + rest + 1) in
+      Bytes.blit_string id_prefix 0 b 0 (String.length id_prefix);
+      let rec digits b n at =
+        Bytes.set b at (Char.chr (Char.code '0' + (n mod 10)));
+        if n >= 10 then digits b (n / 10) (at - 1)
+      in
+      digits b ordinal (comma - 1);
+      Bytes.set b comma ',';
+      Bytes.blit_string line (i + 1) b (comma + 1) rest;
+      Bytes.set b (comma + 1 + rest) '\n';
+      Bytes.unsafe_to_string b
+  | None -> id_prefix ^ string_of_int ordinal ^ "}\n" (* unreachable *)
 
 (* A fan-out leg or a probe: a parameterless request under an ordinal. *)
 let route_request ~ordinal route =
@@ -99,8 +115,6 @@ let worker_line_limit max_bytes =
     String.length "\"id\":," + String.length (string_of_int max_int)
   in
   if max_bytes > max_int - splice then max_int else max_bytes + splice
-
-let id_prefix = "{\"id\":"
 
 (* Every forwarded line fits its worker and every daemon response
    builder emits [id] as the first member, so a worker answer starts
@@ -123,10 +137,19 @@ let response_ordinal line =
   end
 
 (* Restore the client's id by splicing bytes: the relayed payload —
-   [output] above all — stays exactly the worker's bytes. *)
+   [output] above all — stays exactly the worker's bytes. The answer
+   is built in one exactly-sized string: {"id":, the client's id, the
+   worker's bytes after its ordinal, and "\n". *)
 let restore_id ~id line rest_at =
-  id_prefix ^ Json.encode id
-  ^ String.sub line rest_at (String.length line - rest_at)
+  let id = Json.encode id in
+  let plen = String.length id_prefix and ilen = String.length id in
+  let rest = String.length line - rest_at in
+  let b = Bytes.create (plen + ilen + rest + 1) in
+  Bytes.blit_string id_prefix 0 b 0 plen;
+  Bytes.blit_string id 0 b plen ilen;
+  Bytes.blit_string line rest_at b (plen + ilen) rest;
+  Bytes.set b (plen + ilen + rest) '\n';
+  Bytes.unsafe_to_string b
 
 (* ------------------------------------------------------------------ *)
 (* Fleet-wide aggregation                                              *)
@@ -346,7 +369,7 @@ let settle st shard owed answer =
   | Relay { client; id } ->
       (match answer with
       | Some (line, rest_at) ->
-          Conn.answer client (restore_id ~id line rest_at ^ "\n")
+          Conn.answer client (restore_id ~id line rest_at)
       | None -> respond_local client (unavailable ~id index));
       st.served <- st.served + 1
   | Fanout agg ->
@@ -501,8 +524,10 @@ let route_line st client line =
           (rewrite_request ~ordinal line)
           (Relay { client; id })
 
-(* Liveness: process exits caught by waitpid, wedged workers by a
-   stalled health probe, down shards periodically revived. *)
+(* Liveness: wedged workers caught by a stalled health probe, down
+   shards periodically revived. A worker's exit closes its end of the
+   link, so the sweep sees it as the link's EOF; [waitpid] only runs
+   when a probe is due, not on every sweep. *)
 let probe_tick st =
   let now = Metrics.now_s () in
   Array.iter
@@ -513,20 +538,21 @@ let probe_tick st =
           failover st ~reason:"revival attempt" shard
         end
       end
-      else if not (Supervisor.alive shard.worker) then
-        failover st ~reason:"worker process exited" shard
       else
         match shard.probe with
         | Some (_, sent_at) ->
             if now -. sent_at > st.probe_timeout_s then
               failover st ~reason:"health probe stalled" shard
         | None ->
-            if now -. shard.last_probe_at > probe_interval_s then begin
-              shard.last_probe_at <- now;
-              let ordinal = fresh_ordinal st in
-              shard.probe <- Some (ordinal, now);
-              send_or_failover st shard (route_request ~ordinal "health")
-            end)
+            if now -. shard.last_probe_at > probe_interval_s then
+              if not (Supervisor.alive shard.worker) then
+                failover st ~reason:"worker process exited" shard
+              else begin
+                shard.last_probe_at <- now;
+                let ordinal = fresh_ordinal st in
+                shard.probe <- Some (ordinal, now);
+                send_or_failover st shard (route_request ~ordinal "health")
+              end)
     st.shards
 
 let sweep st ~timeout =

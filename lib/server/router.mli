@@ -41,7 +41,9 @@
     the client's original [id] on the way back, splicing bytes rather
     than re-encoding, so the relayed [output] bytes are exactly what
     the worker produced — which the worker in turn guarantees equal to
-    the one-shot CLI at any domain count.
+    the one-shot CLI at any domain count. Each splice builds its line
+    in one exactly-sized string, so a relayed answer is copied once
+    between the worker's line and the client's.
 
     Each shard keeps what it owes in one table ordered by ordinal:
     ordinal to the line written to the worker and what its answer
@@ -55,22 +57,24 @@
 
     {2 Failover}
 
-    A worker is declared dead when its process exits, its connection
-    breaks, bytes queued for it wait more than 30 s, or a periodic
-    health probe goes unanswered. Failover then: drains any responses
-    the worker already committed, SIGKILLs the process, respawns it
-    (bounded retries), and writes the shard's whole table to the fresh
-    worker in ordinal order, each line under its original ordinal. An
-    outstanding probe is dropped, not replayed; the fresh worker is
-    probed on a later tick. So the [replayed] count is the owed client
-    requests and fan-out legs written again. A request is answered
-    exactly once: replay only covers lines with no committed response,
-    and re-execution on the fresh worker reproduces bit-identical
-    bytes, so a worker kill never yields a lost, duplicated or
-    divergent response. If respawn fails repeatedly the shard is
-    marked down, everything it owes is answered with a structured
-    [shard_unavailable] error (a fan-out leg counts as missing), and
-    revival keeps being attempted in the background.
+    A worker is declared dead when its connection breaks or reaches EOF,
+    bytes queued for it wait more than 30 s, or a periodic health probe
+    goes unanswered. A worker that exits is seen as its link's EOF, since
+    the kernel closes the worker's end of the socket; the router calls
+    [waitpid] only on the probe tick, when a shard's probe is due (every
+    0.5 s), not on every sweep. Failover then: drains any responses the
+    worker already committed, SIGKILLs the process, respawns it (bounded
+    retries), and writes the shard's whole table to the fresh worker in
+    ordinal order, each line under its original ordinal. An outstanding
+    probe is dropped, not replayed; the fresh worker is probed on a later
+    tick. So the [replayed] count is the owed client requests and fan-out
+    legs written again. A request is answered exactly once: replay only
+    covers lines with no committed response, and re-execution on the fresh
+    worker reproduces bit-identical bytes, so a worker kill never yields a
+    lost, duplicated or divergent response. If respawn fails repeatedly
+    the shard is marked down, everything it owes is answered with a
+    structured [shard_unavailable] error (a fan-out leg counts as
+    missing), and revival keeps being attempted in the background.
 
     {2 Start-up and shutdown}
 

@@ -4,8 +4,8 @@
     shared-nothing (own LRU cache, own domain pool, own chaos/trace
     state), spawned with [Unix.create_process_env] so there is no
     multicore [fork] in the picture. The router uses this module to
-    spawn the fleet at startup, poll liveness every sweep, and kill or
-    respawn a worker during failover. *)
+    spawn the fleet at startup, poll liveness when a shard's health
+    probe is due, and kill or respawn a worker during failover. *)
 
 type worker = {
   index : int;  (** shard index in [0, shards) *)

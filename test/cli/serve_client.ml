@@ -28,7 +28,13 @@
    Idle (--idle N): open N connections and send nothing on them,
    demand a health answer on the first, close them all, then demand a
    health answer on a fresh connection, each within --within seconds.
-   A server may close the connections past its cap at once. Prints N. *)
+   A server may close the connections past its cap at once. Prints N.
+
+   Trickle (--trickle BYTES PIECE): send one health request, padded
+   with spaces to BYTES bytes with its newline, PIECE bytes per write
+   and 50 us apart, on a socket whose send buffer is as small as the
+   kernel allows, so the server reads the line a few pieces at a time;
+   demand an ok answer, all within --within seconds. Prints BYTES. *)
 
 let die fmt =
   Printf.ksprintf
@@ -279,8 +285,46 @@ let idle ~count ~within target =
   Unix.close fresh;
   Printf.printf "%d\n" count
 
+(* Trickle mode: one long health line, written a piece at a time. *)
+let trickle ~bytes ~piece ~within target =
+  let head = {|{"route":"health"|} in
+  let shortest = String.length head + 2 in
+  if bytes < shortest then die "--trickle needs at least %d bytes" shortest;
+  let line = head ^ String.make (bytes - shortest) ' ' ^ "}\n" in
+  let fd = connect target in
+  (* The kernel raises a send buffer this small to its minimum. *)
+  Unix.setsockopt_int fd Unix.SO_SNDBUF piece;
+  Unix.set_nonblock fd;
+  let deadline = Server.Metrics.now_s () +. within in
+  let sent = ref 0 in
+  while !sent < bytes do
+    let left = deadline -. Server.Metrics.now_s () in
+    if left <= 0. then die "trickle not written within %g s" within;
+    match
+      Unix.write_substring fd line !sent (Int.min piece (bytes - !sent))
+    with
+    | n ->
+        sent := !sent + n;
+        Unix.sleepf 50e-6
+    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> (
+        try ignore (Unix.select [] [ fd ] [] left)
+        with Unix.Unix_error (EINTR, _, _) -> ())
+  done;
+  let answered = ref false in
+  exchange fd
+    ~within:(Float.max 0. (deadline -. Server.Metrics.now_s ()))
+    ""
+    ~on_line:(fun line ->
+      check_answer ~expected:None 1 line;
+      answered := true)
+    ~finished:(fun () -> !answered);
+  if not !answered then die "connection closed before the trickle's answer";
+  Unix.close fd;
+  Printf.printf "%d\n" bytes
+
 let () =
   let count = ref None and id_count = ref None and idle_count = ref None in
+  let trickled = ref None in
   let read = ref true and shed = ref false and sent = ref None in
   let within = ref 60. in
   let positive flag n =
@@ -301,6 +345,13 @@ let () =
     | "--idle" :: n :: rest ->
         idle_count := positive "--idle" n;
         parse rest
+    | "--trickle" :: n :: piece :: rest ->
+        trickled :=
+          Option.bind (positive "--trickle" n) (fun n ->
+              Option.map
+                (fun piece -> (n, piece))
+                (positive "--trickle piece" piece));
+        parse rest
     | "--shed" :: rest ->
         shed := true;
         parse rest
@@ -317,18 +368,20 @@ let () =
   in
   let positional = parse (List.tl (Array.to_list Sys.argv)) in
   let read = !read and within = !within in
-  match (!count, !id_count, !idle_count, positional) with
-  | None, None, None, [ target; request ] -> one_shot target request None
-  | None, None, None, [ target; request; field ] ->
+  match (!count, !id_count, !idle_count, !trickled, positional) with
+  | None, None, None, None, [ target; request ] -> one_shot target request None
+  | None, None, None, None, [ target; request; field ] ->
       one_shot target request (Some field)
-  | Some count, None, None, [ target; request ] ->
+  | Some count, None, None, None, [ target; request ] ->
       pipeline ~count ~read ~within target request None
-  | Some count, None, None, [ target; request; expected ] ->
+  | Some count, None, None, None, [ target; request; expected ] ->
       pipeline ~count ~read ~within target request
         (Some (In_channel.with_open_bin expected In_channel.input_all))
-  | None, Some count, None, [ target; request ] ->
+  | None, Some count, None, None, [ target; request ] ->
       ids ~count ~shed:!shed ~sent:!sent ~within target request
-  | None, None, Some count, [ target ] -> idle ~count ~within target
+  | None, None, Some count, None, [ target ] -> idle ~count ~within target
+  | None, None, None, Some (bytes, piece), [ target ] ->
+      trickle ~bytes ~piece ~within target
   | _ ->
       die
         "usage: serve_client SOCKET|tcp:PORT REQUEST [FIELD.PATH]\n\
@@ -336,4 +389,6 @@ let () =
          SOCKET|tcp:PORT REQUEST [EXPECTED]\n\
         \       serve_client --ids N [--shed] [--sent FILE] [--within S] \
          SOCKET|tcp:PORT REQUEST\n\
-        \       serve_client --idle N [--within S] SOCKET|tcp:PORT"
+        \       serve_client --idle N [--within S] SOCKET|tcp:PORT\n\
+        \       serve_client --trickle BYTES PIECE [--within S] \
+         SOCKET|tcp:PORT"

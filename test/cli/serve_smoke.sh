@@ -9,7 +9,8 @@
 # cannot hold gets a parse error and leaves the daemon serving. A
 # client that half-closes after a burst gets every answer, then EOF.
 # 1,100 idle connections, more than select can take, leave the daemon
-# answering.
+# answering. Framing a line trickled in small pieces costs CPU about
+# linear in its length.
 #
 # Usage: sh serve_smoke.sh path/to/rexspeed.exe path/to/serve_client.exe
 set -eu
@@ -128,6 +129,29 @@ got=$("$client" --ids 2000 --within 60 "$sock" "$opt_req") ||
   fail "half-closed burst not answered once per id"
 [ "${got%% *}" = 2000 ] ||
   fail "half-closed burst: $got (ok, shed, late), want 2000 ok"
+stop_server
+
+# A line that arrives a few pieces per read is framed at a cost linear
+# in its length: a 2 MiB health line trickled in 256-byte pieces may
+# cost the daemon at most 24 times the CPU of a 256 KiB one. Framing
+# that copied and searched the partial line again on every read costs
+# about 64 times, linear framing about 8. CPU ticks, not wall time, so
+# neither a slower build nor a busy host moves the ratio.
+start_server --domains 1 --max-request-bytes 4194304
+server_ticks() {
+  awk '{ print $14 + $15 }' "/proc/$server_pid/stat"
+}
+ticks=$(server_ticks)
+"$client" --trickle 262144 256 --within 60 "$sock" >/dev/null ||
+  fail "a trickled 256 KiB line not answered"
+short_ticks=$(($(server_ticks) - ticks))
+ticks=$(server_ticks)
+"$client" --trickle 2097152 256 --within 60 "$sock" >/dev/null ||
+  fail "a trickled 2 MiB line not answered"
+long_ticks=$(($(server_ticks) - ticks))
+[ "$short_ticks" -gt 0 ] || short_ticks=1 # one tick is the clock's resolution
+[ "$long_ticks" -le $((24 * short_ticks)) ] ||
+  fail "daemon CPU: $long_ticks ticks for a trickled 2 MiB line against $short_ticks for 256 KiB"
 stop_server
 
 # Connection cap: 1,100 idle connections, past select's FD_SETSIZE of

@@ -15,7 +15,10 @@
 # health probe. A number a double cannot hold gets a parse error and
 # leaves the router serving. 1,100 idle connections, more than select
 # can take, leave the router answering. A SIGTERM that lands while a
-# burst is in flight still answers every request, then drains.
+# burst is in flight still answers every request, then drains. Framing
+# a line trickled in small pieces costs the router CPU about linear in
+# its length. Whole answer lines, ids of every JSON kind and the
+# router's own errors included, are the single daemon's bytes.
 #
 # Usage: sh shard_smoke.sh path/to/rexspeed.exe path/to/serve_client.exe
 set -eu
@@ -188,6 +191,25 @@ wait "$stall_pid" 2>/dev/null || true
 stall_pid=
 stop_router
 
+# A line that arrives a few pieces per read is framed at a cost linear
+# in its length, on the router's client side as in the daemon: a 2 MiB
+# health line trickled in 256-byte pieces may cost the router at most
+# 24 times the CPU of a 256 KiB one (about 8 times when linear, 64 when
+# each read copies and searches the partial line again).
+start_router 2 1 --max-request-bytes 4194304
+ticks=$(router_ticks)
+"$client" --trickle 262144 256 --within 60 "$sock" >/dev/null ||
+  fail "a trickled 256 KiB line not answered through the router"
+short_ticks=$(($(router_ticks) - ticks))
+ticks=$(router_ticks)
+"$client" --trickle 2097152 256 --within 60 "$sock" >/dev/null ||
+  fail "a trickled 2 MiB line not answered through the router"
+long_ticks=$(($(router_ticks) - ticks))
+[ "$short_ticks" -gt 0 ] || short_ticks=1
+[ "$long_ticks" -le $((24 * short_ticks)) ] ||
+  fail "router CPU: $long_ticks ticks for a trickled 2 MiB line against $short_ticks for 256 KiB"
+stop_router
+
 # Forced failover: SIGKILL the whole fleet, then demand the same bytes
 # again — the router must detect the deaths, respawn every worker and
 # serve without a lost or divergent response.
@@ -290,6 +312,57 @@ code=$("$client" "$sock" "$(padded_request 65)" error.code) ||
 [ "$code" = "too-large" ] ||
   fail "64-byte-limit fleet: a 65-byte line got $code, want too-large"
 stop_router
+
+# Whole answer lines: the same requests, one connection each, get the
+# same bytes from a fresh single daemon and a fresh 2-shard fleet. The
+# router splices its ordinal into every line it forwards and the
+# client's id back into every answer, so the ids take every JSON kind;
+# the lines the router answers itself (bad requests, parse errors) are
+# compared too.
+cat >"$tmp/requests" <<'REQUESTS'
+{"route":"optimize","id":7,"params":{"rho":3}}
+{"route":"optimize","id":-42,"params":{"rho":3}}
+{"route":"frontier","id":1.5e3,"params":{"config":"hera/xscale"}}
+{"route":"optimize","id":12345678901234567890,"params":{"rho":2.5}}
+{"route":"evaluate","id":"tab\t \"quoted\" \u00e9 é ü \\","params":{"w":2764,"s1":0.4,"s2":1}}
+{"id":{"k":[1,"x",{"n":null}]},"route":"optimize","params":{"rho":3}}
+{"route":"optimize","id":[1,2,[3]],"params":{"rho":2.5}}
+{"route":"optimize","id":null,"params":{"rho":3}}
+{"route":"frontier","id":true,"params":{"config":"hera/xscale"}}
+{"route":"optimize","params":{"rho":3}}
+{"id":1,"route":"optimize","id":2,"params":{"rho":2.5}}
+ 	 {"route":"optimize","id":"padded","params":{"rho":3}}  	
+{"route":"optimize","id":8,"params":{"rho":-1}}
+{"route":"nope","id":9}
+{"route":"optimize","id":10,"params":{"rho":3}
+not json at all
+{"route":"optimize","id":1e999,"params":{"rho":3}}
+REQUESTS
+answer_lines() { # $1 = socket: one raw answer line per request line
+  while IFS= read -r req; do
+    "$client" "$1" "$req" || return 1
+  done <"$tmp/requests"
+}
+"$exe" serve --socket "$single_sock" --domains 1 2>"$tmp/single.err" &
+router_pid=$!
+tries=0
+until "$client" "$single_sock" '{"route":"health"}' status >/dev/null 2>&1; do
+  tries=$((tries + 1))
+  [ "$tries" -lt 200 ] || fail "single daemon never became healthy"
+  sleep 0.05
+done
+answer_lines "$single_sock" >"$tmp/single.lines" ||
+  fail "single daemon: a request went unanswered"
+kill -TERM "$router_pid"
+wait "$router_pid" || fail "single daemon exited non-zero on SIGTERM"
+start_router 2 1
+answer_lines "$sock" >"$tmp/fleet.lines" ||
+  fail "fleet: a request went unanswered"
+stop_router
+[ "$(wc -l <"$tmp/fleet.lines")" -eq "$(wc -l <"$tmp/requests")" ] ||
+  fail "fleet: not one answer line per request"
+cmp -s "$tmp/single.lines" "$tmp/fleet.lines" ||
+  fail "fleet answer lines differ from the single daemon's"
 
 # Connection cap: 1,100 idle connections, past select's FD_SETSIZE of
 # 1024, must not kill the router. It answers health on the first,

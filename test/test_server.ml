@@ -1910,6 +1910,131 @@ let test_metrics_window () =
       Testutil.checkf "still the all-time max" 9. r.latency_max_s
   | routes -> Alcotest.failf "expected 1 route, got %d" (List.length routes)
 
+(* ------------------------------------------------------------------ *)
+(* Line framing against the Buffer-era reference                       *)
+
+(* One stream under a small [max_bytes], and the sizes of the reads it
+   arrives in, down to one byte: blank, whitespace-only and CRLF lines,
+   lines of exactly [max_bytes] and one byte more, longer lines whose
+   tail may pass [max_bytes] before their newline arrives, and a final
+   unterminated line. Bytes near '\n' in value (0x0b, 0x8a...) keep the
+   word-at-a-time search honest. *)
+let gen_framing =
+  let open QCheck.Gen in
+  int_range 4 24 >>= fun max_bytes ->
+  let space = oneofl [ ' '; '\t'; '\r'; '\012' ] in
+  let byte =
+    frequency
+      [
+        (6, char_range 'a' 'z');
+        (2, oneofl [ '{'; '}'; '"'; ':' ]);
+        (2, space);
+        (1, oneofl [ '\000'; '\001'; '\011'; '\x8a'; '\x80'; '\xff' ]);
+      ]
+  in
+  let text n = string_size ~gen:byte (return n) in
+  let ended ending g = map (fun s -> s ^ ending) g in
+  let line =
+    frequency
+      [
+        (1, return "\n");
+        (1, ended "\n" (string_size ~gen:space (int_range 1 (2 * max_bytes))));
+        (2, ended "\r\n" (int_range 0 max_bytes >>= text));
+        (2, ended "\n" (map (( ^ ) "x") (text (max_bytes - 1))));
+        (2, ended "\n" (map (( ^ ) "x") (text max_bytes)));
+        (3, ended "\n" (int_range 0 (3 * max_bytes) >>= text));
+      ]
+  in
+  let last =
+    frequency [ (1, return ""); (2, int_range 1 (2 * max_bytes) >>= text) ]
+  in
+  let rec reads left acc =
+    if left <= 0 then return (List.rev acc)
+    else
+      frequency
+        [ (4, int_range 1 3); (3, int_range 4 16); (1, int_range 17 128) ]
+      >>= fun n -> reads (left - Int.min n left) (Int.min n left :: acc)
+  in
+  list_size (int_range 0 12) line >>= fun body ->
+  last >>= fun tail ->
+  let stream = String.concat "" body ^ tail in
+  reads (String.length stream) [] >>= fun sizes ->
+  return (max_bytes, stream, sizes)
+
+(* One listening socket for every case: each connects a fresh link. *)
+let framing_listener =
+  lazy
+    (let dir = Filename.temp_file "rexspeed-framing" "" in
+     Sys.remove dir;
+     Unix.mkdir dir 0o700;
+     let path = Filename.concat dir "link.sock" in
+     let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+     Unix.bind fd (Unix.ADDR_UNIX path);
+     Unix.listen fd 8;
+     at_exit (fun () ->
+         Unix.close fd;
+         Sys.remove path;
+         Unix.rmdir dir);
+     (fd, path))
+
+let show_lines lines =
+  String.concat "; "
+    (List.map
+       (function
+         | Server.Conn.Line l -> Printf.sprintf "Line %S" l
+         | Server.Conn.Too_large -> "Too_large")
+       lines)
+
+(* Each read's bytes go through a real socket to a [Conn.connect]ed
+   link; after every read, and once the peer has closed, [Conn.lines]
+   and [Conn.eof] must be the reference's. *)
+let test_conn_framing_reference =
+  Testutil.qcheck
+  @@ QCheck.Test.make ~count:400
+       ~name:"Conn.lines = Buffer-era framing, any chunking"
+       (QCheck.make gen_framing ~print:(fun (max_bytes, stream, sizes) ->
+            Printf.sprintf "max_bytes %d, stream %S, reads %s" max_bytes stream
+              (String.concat " " (List.map string_of_int sizes))))
+       (fun (max_bytes, stream, sizes) ->
+         let listener, path = Lazy.force framing_listener in
+         let link =
+           match Server.Conn.connect path with
+           | Ok link -> link
+           | Error e -> Alcotest.failf "connect: %s" e
+         in
+         let peer, _ = Unix.accept listener in
+         let reference = Conn_reference.create () in
+         let agree step =
+           let got = Server.Conn.lines ~max_bytes link
+           and want = Conn_reference.lines ~max_bytes reference in
+           if got <> want || Server.Conn.eof link <> reference.eof then
+             QCheck.Test.fail_reportf
+               "%s: Conn framed [%s] (eof %b), the reference [%s] (eof %b)"
+               step (show_lines got) (Server.Conn.eof link) (show_lines want)
+               reference.eof
+         in
+         Fun.protect
+           ~finally:(fun () ->
+             Server.Conn.close link;
+             Unix.close peer)
+           (fun () ->
+             ignore
+               (List.fold_left
+                  (fun off n ->
+                    let chunk = String.sub stream off n in
+                    write_all peer chunk;
+                    Server.Conn.read link;
+                    Conn_reference.read reference chunk;
+                    agree (Printf.sprintf "after byte %d" (off + n));
+                    off + n)
+                  0 sizes
+                 : int);
+             Unix.shutdown peer Unix.SHUTDOWN_SEND;
+             Server.Conn.read link;
+             Conn_reference.peer_closed reference;
+             agree "after the peer closed";
+             true))
+
 let () =
   Alcotest.run "server"
     [
@@ -1922,6 +2047,7 @@ let () =
           Alcotest.test_case "escaping = byte-by-byte reference" `Quick
             test_json_escape_differential;
         ] );
+      ("conn", [ test_conn_framing_reference ]);
       ( "lru",
         [
           Alcotest.test_case "eviction and accounting" `Quick test_lru;
